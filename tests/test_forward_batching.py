@@ -2,22 +2,27 @@
 
 The batched forward path (one shared ``fft2(M)``, one vectorized
 ``ifft2`` across all (focus x kernel) spectra, one accumulated adjoint
-pass) must be numerically indistinguishable from the historical
-per-corner, per-kernel path — the ISSUE tolerance is 1e-10 max abs diff
-on aerial images, and gradients reassociate only at the 1e-12 level.
+pass) is pinned to per-corner references built from the per-kernel
+hopkins primitives (:func:`aerial_image`, :func:`field_stack`,
+:func:`backproject_fields`).  On the numpy float64 reference backend the
+aerial images are bitwise equal to the reference — on the tiny grid, on
+the 256-px reduced grid (row-pruned inverse FFT) and on a 372-px
+full-chip window (dense support, unpruned inverse FFT) — and gradients
+reassociate only at the 1e-12 level.
 
-The batched-vs-legacy comparisons are parametrized over every
-registered array backend (``backend`` fixture): the legacy side always
-runs on the numpy float64 reference, so the float64 tolerances above
-apply to float64 backends while single-precision backends are held to
-the float32 forward gate instead.
+The cross-backend comparisons are parametrized over every registered
+array backend (``backend`` fixture): the reference side always runs on
+the numpy float64 backend, so the float64 tolerances apply to float64
+backends while single-precision backends are held to the float32
+forward gate instead.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import GridSpec, LithoConfig, OpticsConfig, ProcessConfig, ResistConfig
+from repro.config import LithoConfig
 from repro.errors import OpticsError
+from repro.fullchip.ambit import AmbitModel
 from repro.litho.simulator import LithographySimulator
 from repro.obs import Instrumentation
 from repro.opc.objectives import (
@@ -28,6 +33,7 @@ from repro.opc.objectives import (
 from repro.optics.hopkins import (
     ForwardCache,
     accumulate_backprojection,
+    aerial_image,
     backproject_fields,
     batched_field_stacks,
     field_stack,
@@ -35,9 +41,14 @@ from repro.optics.hopkins import (
 )
 from repro.optics.kernels import common_grid_shape
 from repro.process.corners import ProcessCorner, nominal_corner
+from repro.process.pvband import pv_band, pv_band_area
 
-AERIAL_TOL = 1e-10  # ISSUE acceptance tolerance on aerial images
+AERIAL_TOL = 1e-10  # max abs diff floor on aerial images off the reference backend
 GRAD_RTOL = 1e-9  # gradients only reassociate floating-point sums
+
+#: Window edge of a default full-chip tile at reduced scale: a 256-px
+#: core plus two 58-px ambit halos.
+WINDOW_PX = 372
 
 
 def aerial_atol(backend, scale=1.0):
@@ -54,12 +65,29 @@ def grad_tols(backend, scale=1.0):
     return backend.equivalence_rtol, backend.equivalence_rtol * scale
 
 
-@pytest.fixture(scope="module")
-def legacy_sim(tiny_config):
-    """A tiny simulator pinned to the per-corner legacy path (numpy f64)."""
-    simulator = LithographySimulator(tiny_config, batch_forward=False, backend="numpy")
-    simulator.prewarm()
-    return simulator
+def reference_aerials(sim, mask, corners):
+    """Per-corner aerial images from the per-kernel hopkins reference."""
+    return [
+        aerial_image(mask, sim.kernels_at(c.defocus_nm), dose=c.dose, xp="numpy")
+        for c in corners
+    ]
+
+
+def reference_gradient(sim, mask, contributions, xp="numpy"):
+    """Per-corner adjoints of ``(corner, dF/dI_eff)`` pairs, summed.
+
+    Each contribution goes through the resist-diffusion adjoint, then
+    the per-kernel SOCS adjoint, then the corner's dose factor — one
+    back-projection per corner, nothing shared.
+    """
+    total = np.zeros(sim.grid.shape)
+    for corner, df_di in contributions:
+        kernels = sim.kernels_at(corner.defocus_nm)
+        weighted = weight_fields(
+            sim.resist.diffuse(df_di), field_stack(mask, kernels, xp=xp), xp
+        )
+        total += corner.dose * backproject_fields(weighted, kernels, xp=xp)
+    return total
 
 
 def random_mask(rng, shape):
@@ -76,6 +104,47 @@ ASYMMETRIC_CORNERS = [
     ProcessCorner("fminus_dminus", 25.0, 0.98),
     ProcessCorner("odd_focus", 12.5, 1.01),
 ]
+
+
+@pytest.fixture(scope="module")
+def window_sim():
+    """A full-chip window simulator on the numpy float64 backend.
+
+    A 1024-nm probe grid keeps the model build cheap; window kernels
+    have dense frequency support whatever the probe size, so the engine
+    runs its unpruned inverse FFT here.
+    """
+    model = AmbitModel.build(LithoConfig.reduced(), probe_extent_nm=1024.0)
+    return model.simulator_for((WINDOW_PX, WINDOW_PX), backend="numpy")
+
+
+@pytest.fixture(params=["tiny", "reduced", "window"])
+def pinned_sim(request):
+    """Every grid type the engine runs on, each on the numpy backend."""
+    fixture = {"tiny": "tiny_sim", "reduced": "sim", "window": "window_sim"}
+    return request.getfixturevalue(fixture[request.param])
+
+
+class TestReferencePin:
+    """The engine against the per-kernel reference on every grid type."""
+
+    def test_simulate_all_corners_bitwise(self, pinned_sim, rng):
+        mask = random_mask(rng, pinned_sim.grid.shape)
+        corners = pinned_sim.corners()
+        images = pinned_sim.simulate_all_corners(mask, corners)
+        for image, reference in zip(images, reference_aerials(pinned_sim, mask, corners)):
+            assert np.array_equal(image, reference)
+
+    def test_gradient_all_corners_matches(self, pinned_sim, rng):
+        mask = random_mask(rng, pinned_sim.grid.shape)
+        contributions = [
+            (corner, rng.standard_normal(pinned_sim.grid.shape))
+            for corner in pinned_sim.corners()
+        ]
+        grad = pinned_sim.gradient_all_corners(mask, contributions)
+        reference = reference_gradient(pinned_sim, mask, contributions)
+        scale = np.max(np.abs(reference))
+        assert np.allclose(grad, reference, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
 
 
 class TestHopkinsBatching:
@@ -131,19 +200,18 @@ class TestHopkinsBatching:
 
 
 class TestSimulatorEquivalence:
-    """simulate_all_corners / gradient_all_corners vs the legacy path.
+    """simulate_all_corners / gradient_all_corners vs the per-kernel reference.
 
-    The batched side runs on the parametrized backend; the legacy side
-    stays on the numpy float64 reference, so this doubles as the
-    cross-backend forward-model equivalence battery."""
+    The engine runs on the parametrized backend; the reference stays on
+    the numpy float64 backend, so this doubles as the cross-backend
+    forward-model equivalence battery."""
 
-    def test_aerial_images_match_per_corner(self, backend_tiny_sim, legacy_sim,
-                                            backend, rng):
+    def test_aerial_images_match_per_corner(self, backend_tiny_sim, backend, rng):
         mask = random_mask(rng, backend_tiny_sim.grid.shape)
         corners = backend_tiny_sim.corners()
         batched = backend_tiny_sim.simulate_all_corners(mask, corners)
-        legacy = legacy_sim.simulate_all_corners(mask, corners)
-        for b, ref in zip(batched, legacy):
+        reference = reference_aerials(backend_tiny_sim, mask, corners)
+        for b, ref in zip(batched, reference):
             diff = np.max(np.abs(b - ref))
             assert diff <= aerial_atol(backend, np.max(np.abs(ref)))
 
@@ -165,24 +233,32 @@ class TestSimulatorEquivalence:
         diff = np.max(np.abs(image - reference))
         assert diff <= aerial_atol(backend, np.max(np.abs(reference)))
 
-    def test_print_soft_matches(self, backend_tiny_sim, legacy_sim, backend, rng):
+    def test_print_soft_matches(self, backend_tiny_sim, backend, rng):
         mask = random_mask(rng, backend_tiny_sim.grid.shape)
         # The resist sigmoid amplifies aerial-image error by at most
         # steepness/4; fold that into the float32 floor.
         slope = backend_tiny_sim.config.resist.theta_z / 4.0
-        for corner in backend_tiny_sim.corners():
+        corners = backend_tiny_sim.corners()
+        aerials = reference_aerials(backend_tiny_sim, mask, corners)
+        for corner, aerial in zip(corners, aerials):
             batched = backend_tiny_sim.context(mask).soft_image(corner)
-            reference = legacy_sim.print_soft(mask, corner)
+            reference = backend_tiny_sim.resist.develop_soft(aerial)
             tol = aerial_atol(backend, max(1.0, slope))
             assert np.max(np.abs(batched - reference)) <= tol
 
-    def test_pv_band_matches(self, backend_tiny_sim, legacy_sim, backend, rng):
+    def test_pv_band_matches(self, backend_tiny_sim, backend, rng):
         mask = random_mask(rng, backend_tiny_sim.grid.shape)
         band = backend_tiny_sim.pv_band(mask)
-        reference = legacy_sim.pv_band(mask)
+        printed = [
+            backend_tiny_sim.resist.develop(aerial)
+            for aerial in reference_aerials(backend_tiny_sim, mask, backend_tiny_sim.corners())
+        ]
+        reference = pv_band(printed)
         if backend.is_reference:
             assert np.array_equal(band, reference)
-            assert backend_tiny_sim.pv_band_area(mask) == legacy_sim.pv_band_area(mask)
+            assert backend_tiny_sim.pv_band_area(mask) == pv_band_area(
+                printed, backend_tiny_sim.grid.pixel_nm
+            )
         else:
             # Binarization can flip pixels whose soft image sits within
             # the backend's noise floor of the threshold; demand the
@@ -196,26 +272,22 @@ class TestSimulatorEquivalence:
             (corner, rng.standard_normal(backend_tiny_sim.grid.shape))
             for corner in ASYMMETRIC_CORNERS
         ]
-        batched = backend_tiny_sim.gradient_all_corners(
-            mask, contributions, batched=True
-        )
-        ctx = backend_tiny_sim.context(mask, batched=False)
-        reference = sum(
-            ctx.intensity_gradient_to_mask(df_di, corner)
-            for corner, df_di in contributions
+        batched = backend_tiny_sim.gradient_all_corners(mask, contributions)
+        # Same backend on both sides: only the summation order differs.
+        reference = reference_gradient(
+            backend_tiny_sim, mask, contributions, xp=backend_tiny_sim.xp
         )
         rtol, atol = grad_tols(backend, np.max(np.abs(reference)))
         assert np.allclose(batched, reference, rtol=rtol, atol=atol)
 
-    def test_gradient_matches_reference_backend(self, backend_tiny_sim, legacy_sim,
-                                                backend, rng):
+    def test_gradient_matches_reference_backend(self, backend_tiny_sim, backend, rng):
         mask = random_mask(rng, backend_tiny_sim.grid.shape)
         contributions = [
             (corner, rng.standard_normal(backend_tiny_sim.grid.shape))
             for corner in ASYMMETRIC_CORNERS
         ]
         batched = backend_tiny_sim.gradient_all_corners(mask, contributions)
-        reference = legacy_sim.gradient_all_corners(mask, contributions)
+        reference = reference_gradient(backend_tiny_sim, mask, contributions)
         rtol, atol = grad_tols(backend, np.max(np.abs(reference)))
         assert np.allclose(batched, reference, rtol=rtol, atol=atol)
 
@@ -227,7 +299,7 @@ class TestSimulatorEquivalence:
 
 
 class TestContextEquivalence:
-    """ForwardContext batched vs legacy mode over whole objectives."""
+    """ForwardContext over whole objectives vs the per-kernel reference."""
 
     def _target(self, tiny_sim):
         target = np.zeros(tiny_sim.grid.shape)
@@ -245,15 +317,25 @@ class TestContextEquivalence:
     def test_composite_value_and_gradient_match(self, tiny_sim, rng):
         target = self._target(tiny_sim)
         mask = np.clip(target + 0.1 * rng.standard_normal(target.shape), 0.05, 0.95)
-        v_batched, g_batched = self._composite(target).value_and_gradient(
-            tiny_sim.context(mask, batched=True)
-        )
-        v_legacy, g_legacy = self._composite(target).value_and_gradient(
-            tiny_sim.context(mask, batched=False)
-        )
-        assert v_batched == pytest.approx(v_legacy, rel=1e-12)
-        scale = np.max(np.abs(g_legacy))
-        assert np.allclose(g_batched, g_legacy, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
+        composite = self._composite(target)
+        ctx = tiny_sim.context(mask)
+        value, grad = composite.value_and_gradient(ctx)
+        # The images every term reads are the reference images ...
+        corners = tiny_sim.corners()
+        for corner, aerial in zip(corners, reference_aerials(tiny_sim, mask, corners)):
+            assert np.array_equal(ctx.aerial(corner), aerial)
+        # ... and the merged adjoint equals one per-kernel adjoint per
+        # (term x corner) contribution.
+        ref_value = 0.0
+        merged = []
+        for weight, term in composite.terms:
+            term_value, contributions = term.intensity_contributions(ctx)
+            ref_value += weight * term_value
+            merged.extend((corner, weight * df_di) for corner, df_di in contributions)
+        reference = reference_gradient(tiny_sim, mask, merged)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        scale = np.max(np.abs(reference))
+        assert np.allclose(grad, reference, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
 
     def test_accumulate_matches_sequential_backprojection(self, tiny_sim, rng):
         mask = random_mask(rng, tiny_sim.grid.shape)
@@ -261,10 +343,8 @@ class TestContextEquivalence:
             (corner, rng.standard_normal(tiny_sim.grid.shape))
             for corner in tiny_sim.corners()
         ]
-        ctx = tiny_sim.context(mask, batched=True)
-        legacy_ctx = tiny_sim.context(mask, batched=False)
-        batched = ctx.accumulate_intensity_gradients(contributions)
-        reference = legacy_ctx.accumulate_intensity_gradients(contributions)
+        batched = tiny_sim.context(mask).accumulate_intensity_gradients(contributions)
+        reference = reference_gradient(tiny_sim, mask, contributions)
         scale = np.max(np.abs(reference))
         assert np.allclose(batched, reference, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
 
