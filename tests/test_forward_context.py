@@ -27,21 +27,6 @@ class TestCaching:
         # The batched engine computed fft2(M) exactly once for both foci.
         assert ctx.cache_info().mask_ffts == 1
 
-    def test_legacy_mode_computes_fields_per_focus(self, tiny_sim, mask, monkeypatch):
-        calls = []
-        original = tiny_sim.fields
-
-        def counting_fields(m, corner=None):
-            calls.append(corner.defocus_nm if corner else 0.0)
-            return original(m, corner)
-
-        monkeypatch.setattr(tiny_sim, "fields", counting_fields)
-        ctx = ForwardContext(mask, tiny_sim, batched=False)
-        ctx.fields(ProcessCorner("a", 25.0, 0.98))
-        ctx.fields(ProcessCorner("b", 25.0, 1.02))
-        ctx.fields(nominal_corner())
-        assert sorted(calls) == [0.0, 25.0]
-
     def test_aerial_cached_per_dose(self, tiny_sim, mask):
         ctx = ForwardContext(mask, tiny_sim)
         a = ctx.aerial(ProcessCorner("a", 0.0, 0.98))
@@ -62,19 +47,25 @@ class TestCaching:
 class TestGradientPath:
     def test_zero_intensity_gradient_zero_mask_gradient(self, tiny_sim, mask):
         ctx = ForwardContext(mask, tiny_sim)
-        grad = ctx.intensity_gradient_to_mask(np.zeros(tiny_sim.grid.shape))
+        grad = ctx.accumulate_intensity_gradients(
+            [(None, np.zeros(tiny_sim.grid.shape))]
+        )
         assert np.allclose(grad, 0.0)
 
     def test_gradient_is_real_and_shaped(self, tiny_sim, mask):
         ctx = ForwardContext(mask, tiny_sim)
         df_di = np.ones(tiny_sim.grid.shape)
-        grad = ctx.intensity_gradient_to_mask(df_di)
+        grad = ctx.accumulate_intensity_gradients([(None, df_di)])
         assert grad.shape == mask.shape
         assert grad.dtype == np.float64
 
     def test_dose_factor_applied(self, tiny_sim, mask):
         ctx = ForwardContext(mask, tiny_sim)
         df_di = np.ones(tiny_sim.grid.shape)
-        base = ctx.intensity_gradient_to_mask(df_di, ProcessCorner("x", 0.0, 1.0))
-        scaled = ctx.intensity_gradient_to_mask(df_di, ProcessCorner("y", 0.0, 1.02))
+        base = ctx.accumulate_intensity_gradients(
+            [(ProcessCorner("x", 0.0, 1.0), df_di)]
+        )
+        scaled = ctx.accumulate_intensity_gradients(
+            [(ProcessCorner("y", 0.0, 1.02), df_di)]
+        )
         assert np.allclose(scaled, 1.02 * base)

@@ -6,10 +6,9 @@ dF/dM is compared against the central difference
     (F(M + eps e_i) - F(M - eps e_i)) / (2 eps)
 
 at the ~20 pixels where the gradient is largest, on a structured random
-mask at ``LithoConfig.reduced()`` scale, for both the batched and the
-legacy forward engines.  The central scheme's truncation error is
-O(eps^2), so with eps = 1e-6 the agreement floor sits far below the
-1e-4 relative tolerance asserted here.
+mask at ``LithoConfig.reduced()`` scale.  The central scheme's
+truncation error is O(eps^2), so with eps = 1e-6 the agreement floor
+sits far below the 1e-4 relative tolerance asserted here.
 
 The check is parametrized over every registered array backend.  Finite
 differences with eps = 1e-6 are meaningless below float32 resolution,
@@ -70,8 +69,8 @@ def objective_for(name, sim, layout, target):
     raise ValueError(name)
 
 
-def check_gradient(sim, objective, mask, batched):
-    _, grad = objective.value_and_gradient(sim.context(mask, batched=batched))
+def check_gradient(sim, objective, mask):
+    _, grad = objective.value_and_gradient(sim.context(mask))
 
     # Probe where the gradient is largest: relative error is meaningful
     # there, and any systematic adjoint bug must show up at the peaks.
@@ -85,8 +84,8 @@ def check_gradient(sim, objective, mask, batched):
         minus = mask.copy()
         minus[row, col] -= EPS
         fd = (
-            objective.value(sim.context(plus, batched=batched))
-            - objective.value(sim.context(minus, batched=batched))
+            objective.value(sim.context(plus))
+            - objective.value(sim.context(minus))
         ) / (2.0 * EPS)
         rel = abs(fd - grad[row, col]) / max(abs(fd), abs(grad[row, col]))
         worst = max(worst, rel)
@@ -94,32 +93,25 @@ def check_gradient(sim, objective, mask, batched):
 
 
 def check_gradient_vs_reference(backend_sim, ref_sim, objective_name,
-                                layout, target, mask, batched):
+                                layout, target, mask):
     """Float32 path: analytic gradient vs the float64 reference gradient."""
     objective = objective_for(objective_name, backend_sim, layout, target)
-    _, grad = objective.value_and_gradient(
-        backend_sim.context(mask, batched=batched)
-    )
+    _, grad = objective.value_and_gradient(backend_sim.context(mask))
     reference_objective = objective_for(objective_name, ref_sim, layout, target)
-    _, reference = reference_objective.value_and_gradient(
-        ref_sim.context(mask, batched=batched)
-    )
+    _, reference = reference_objective.value_and_gradient(ref_sim.context(mask))
     scale = np.max(np.abs(reference))
     assert np.allclose(
         grad, reference, rtol=FLOAT32_GRAD_RTOL, atol=FLOAT32_GRAD_RTOL * scale
     ), f"float32 gradient deviates from float64 reference for {objective_name}"
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "legacy"])
 @pytest.mark.parametrize("name", ["epe", "image_diff", "pvband"])
 def test_analytic_gradient_matches_finite_differences(
-    sim, backend_sim, backend, fd_setup, name, batched
+    sim, backend_sim, backend, fd_setup, name
 ):
     layout, target, mask = fd_setup
     if backend.precision == "float64":
         objective = objective_for(name, backend_sim, layout, target)
-        check_gradient(backend_sim, objective, mask, batched)
+        check_gradient(backend_sim, objective, mask)
     else:
-        check_gradient_vs_reference(
-            backend_sim, sim, name, layout, target, mask, batched
-        )
+        check_gradient_vs_reference(backend_sim, sim, name, layout, target, mask)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.fullchip.ambit import AmbitModel
+from repro.obs import Instrumentation
 from repro.process.corners import ProcessCorner, nominal_corner
 
 
@@ -24,6 +26,26 @@ class TestKernelCache:
         defocus_values = {c.defocus_nm for c in sim.corners()}
         for d in defocus_values:
             assert d in sim._kernel_cache
+
+
+class TestWindowKernelCache:
+    """A full-chip window takes its kernels from the ambit model but
+    accounts for them exactly like the base simulator's cache."""
+
+    def test_window_lookups_are_cache_accounted(self, tiny_config):
+        model = AmbitModel.build(tiny_config, probe_extent_nm=1024.0)
+        window = model.simulator_for((64, 64), obs=Instrumentation.collecting())
+        first = window.kernels_at(0.0)
+        assert window.kernels_at(0.0) is first
+        assert first is model.window_kernels((64, 64), 0.0)
+        info = window.cache_info()
+        assert (info.hits, info.misses, info.size) == (1, 1, 1)
+        metrics = window.obs.metrics
+        assert metrics.counter("kernel_cache_hits").value == 1
+        assert metrics.counter("kernel_cache_misses").value == 1
+        stats = window.obs.tracer.stats()
+        assert stats["window_kernel_embed"].count == 1
+        assert "kernel_build" not in stats
 
 
 class TestForward:
