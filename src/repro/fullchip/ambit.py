@@ -284,7 +284,6 @@ class AmbitModel:
         self,
         shape: Tuple[int, int],
         obs: Optional[Instrumentation] = None,
-        batch_forward: bool = True,
         backend: Optional[str] = None,
     ) -> "WindowSimulator":
         """A :class:`WindowSimulator` on a window of ``shape`` pixels.
@@ -294,9 +293,7 @@ class AmbitModel:
         numpy-reference chain.  Backend instances are process-wide
         singletons, so every window sharing a spec shares one backend.
         """
-        return WindowSimulator(
-            self, shape, obs=obs, batch_forward=batch_forward, backend=backend
-        )
+        return WindowSimulator(self, shape, obs=obs, backend=backend)
 
 
 class WindowSimulator(LithographySimulator):
@@ -315,7 +312,6 @@ class WindowSimulator(LithographySimulator):
         model: AmbitModel,
         shape: Tuple[int, int],
         obs: Optional[Instrumentation] = None,
-        batch_forward: bool = True,
         backend: Optional[str] = None,
     ) -> None:
         config = LithoConfig(
@@ -324,7 +320,7 @@ class WindowSimulator(LithographySimulator):
             resist=model.litho.resist,
             process=model.litho.process,
         )
-        super().__init__(config, obs=obs, batch_forward=batch_forward, backend=backend)
+        super().__init__(config, obs=obs, backend=backend)
         self.model = model
 
     def kernels_at(self, defocus_nm: float = 0.0) -> SOCSKernels:

@@ -7,14 +7,13 @@ cached, since TCC decomposition is the expensive setup step; the cache
 is observable through :meth:`LithographySimulator.cache_info` and the
 ``kernel_cache_hits`` / ``kernel_cache_misses`` metrics.
 
-Multi-corner evaluation is batched by default (``batch_forward=True``):
-:meth:`simulate_all_corners` computes ``fft2(M)`` once, stacks every
-(focus x kernel) spectrum and runs a single vectorized inverse FFT, and
-:meth:`gradient_all_corners` folds the whole multi-corner adjoint into
-one batched forward FFT plus a single inverse FFT.  Passing
-``batch_forward=False`` restores the historical one-FFT-per-kernel path,
-kept as the A/B reference for the equivalence tests and the
-``benchmarks/test_perf_forward_batching.py`` benchmark.
+Multi-corner evaluation is batched: :meth:`simulate_all_corners`
+computes ``fft2(M)`` once, stacks every (focus x kernel) spectrum and
+runs a single vectorized inverse FFT, and :meth:`gradient_all_corners`
+folds the whole multi-corner adjoint into one batched forward FFT plus a
+single inverse FFT.  Single-corner :meth:`aerial` calls the per-kernel
+:func:`~repro.optics.hopkins.aerial_image`, which is also the reference
+the equivalence tests hold the batched engine to.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ from ..optics.hopkins import (
     ForwardCache,
     accumulate_backprojection,
     aerial_image,
-    backproject_fields,
     batched_field_stacks,
-    field_stack,
     weight_fields,
 )
 from ..xp import ArrayBackend, resolve_backend
@@ -82,10 +79,6 @@ class LithographySimulator:
         obs: optional instrumentation bundle; disabled (no-op) when
             omitted.  Downstream components (optimizer, objectives,
             harness) inherit the simulator's bundle by default.
-        batch_forward: evaluate multi-corner forward models and adjoints
-            through the batched shared-FFT engine (the default).  False
-            restores the per-corner, one-FFT-per-kernel legacy path —
-            numerically equivalent, kept as the A/B reference.
         backend: array backend for the numeric core — an
             :class:`~repro.xp.ArrayBackend` instance or a spec string
             (``"numpy"``, ``"numpy:float32"``, ``"torch"``, ...).
@@ -100,14 +93,12 @@ class LithographySimulator:
         config: LithoConfig,
         source: Optional[object] = None,
         obs: Optional[Instrumentation] = None,
-        batch_forward: bool = True,
         backend: Optional[ArrayBackend | str] = None,
     ) -> None:
         self.config = config
         self.grid = config.grid
         self.resist = ThresholdResist(config.resist, pixel_nm=config.grid.pixel_nm)
         self.obs = obs or Instrumentation.disabled()
-        self.batch_forward = batch_forward
         if backend is None:
             backend = config.optics.backend
         self.xp = resolve_backend(backend)
@@ -164,13 +155,6 @@ class LithographySimulator:
         with self.obs.tracer.span("aerial"):
             return aerial_image(mask, kernels, dose=corner.dose, xp=self.xp)
 
-    def fields(self, mask: np.ndarray, corner: Optional[ProcessCorner] = None) -> np.ndarray:
-        """Per-kernel coherent fields at a condition (for gradient reuse)."""
-        corner = corner or nominal_corner()
-        kernels = self.kernels_at(corner.defocus_nm)
-        with self.obs.tracer.span("fields"):
-            return field_stack(mask, kernels, xp=self.xp)
-
     def print_binary(self, mask: np.ndarray, corner: Optional[ProcessCorner] = None) -> np.ndarray:
         """Hard-threshold printed image Z (paper Eq. 3)."""
         return self.resist.develop(self.aerial(mask, corner))
@@ -191,15 +175,11 @@ class LithographySimulator:
 
     # -- batched multi-corner engine -------------------------------------------
 
-    def context(self, mask: np.ndarray, batched: Optional[bool] = None):
-        """A :class:`repro.opc.ForwardContext` wired to this simulator.
-
-        The context inherits the simulator's forward engine
-        (``batch_forward``) unless ``batched`` overrides it.
-        """
+    def context(self, mask: np.ndarray):
+        """A :class:`repro.opc.ForwardContext` wired to this simulator."""
         from ..opc.state import ForwardContext  # deferred: opc imports litho
 
-        return ForwardContext(mask, self, batched=batched)
+        return ForwardContext(mask, self)
 
     def simulate_all_corners(
         self, mask: np.ndarray, corners: Optional[Sequence[ProcessCorner]] = None
@@ -209,18 +189,15 @@ class LithographySimulator:
         Computes ``fft2(M)`` once, stacks all (focus x kernel) spectra
         into a single array and runs one vectorized ``ifft2`` over the
         leading axis, then applies each corner's dose.  Corners sharing
-        a focus share one intensity image.  Falls back to per-corner
-        :meth:`aerial` calls when ``batch_forward`` is off.
+        a focus share one intensity image.
 
         Returns:
             Aerial intensity images aligned with ``corners``
             (default: :meth:`corners`).
         """
         corners = list(corners) if corners is not None else self.corners()
-        if not self.batch_forward:
-            return [self.aerial(mask, c) for c in corners]
-        # Per-corner lookups keep kernel-cache accounting identical to
-        # the legacy path: one hit/miss per corner, not per focus.
+        # One kernel lookup per corner, not per focus: the cache counters
+        # count corners, as they do for per-corner aerial() calls.
         kernel_by_corner = [self.kernels_at(c.defocus_nm) for c in corners]
         focus_kernels: Dict[float, SOCSKernels] = {}
         for corner, kernels in zip(corners, kernel_by_corner):
@@ -239,13 +216,12 @@ class LithographySimulator:
         mask: np.ndarray,
         contributions: Sequence[Tuple[ProcessCorner, np.ndarray]],
         fields_by_focus: Optional[Dict[float, np.ndarray]] = None,
-        batched: Optional[bool] = None,
     ) -> np.ndarray:
         """Mask-plane gradient accumulated across corners in one adjoint pass.
 
         Each contribution is a ``(corner, dF/dI_eff)`` pair (``I_eff`` is
         the post-diffusion intensity the resist thresholds, exactly as in
-        :meth:`repro.opc.ForwardContext.intensity_gradient_to_mask`).
+        :meth:`repro.opc.ForwardContext.accumulate_intensity_gradients`).
         Same-focus corners are dose-combined *before* the adjoint — FFTs
         are linear — so the whole set costs one batched forward FFT plus
         a single inverse FFT.
@@ -255,7 +231,6 @@ class LithographySimulator:
             contributions: per-corner intensity-space gradients.
             fields_by_focus: optional precomputed field stacks keyed by
                 defocus (e.g. a ForwardContext's) to reuse.
-            batched: override the simulator's ``batch_forward`` setting.
 
         Returns:
             ``dF/dM`` summed over all contributions.
@@ -266,7 +241,6 @@ class LithographySimulator:
         ]
         if not contributions:
             return np.zeros(self.grid.shape)
-        batched = self.batch_forward if batched is None else batched
         # Dose-combine per focus BEFORE the diffusion blur: both are
         # linear, so the whole corner set costs one blur per focus.
         combined: Dict[float, np.ndarray] = {}
@@ -282,24 +256,14 @@ class LithographySimulator:
                 stacks = batched_field_stacks(cache, kernel_sets)
             fields_by_focus = dict(zip(combined, stacks))
         with self.obs.tracer.span("backproject.batched"):
-            if batched:
-                groups = [
-                    (
-                        weight_fields(combined[f], fields_by_focus[f], self.xp),
-                        self.kernels_at(f),
-                    )
-                    for f in combined
-                ]
-                return accumulate_backprojection(groups, xp=self.xp)
-            total = np.zeros(self.grid.shape)
-            for focus, df_di in combined.items():
-                kernels = self.kernels_at(focus)
-                total += backproject_fields(
-                    weight_fields(df_di, fields_by_focus[focus], self.xp),
-                    kernels,
-                    xp=self.xp,
+            groups = [
+                (
+                    weight_fields(combined[f], fields_by_focus[f], self.xp),
+                    self.kernels_at(f),
                 )
-            return total
+                for f in combined
+            ]
+            return accumulate_backprojection(groups, xp=self.xp)
 
     # -- process-window evaluation ----------------------------------------------
 

@@ -6,13 +6,12 @@ once per iteration and sharing them is the single biggest runtime win in
 the optimizer, so the cache is explicit and objectives receive it rather
 than a raw mask.
 
-In batched mode (the default, inherited from the simulator's
-``batch_forward``) the context additionally shares one ``fft2(M)`` per
-iterate across *all* corners and objective terms (observable through
-:meth:`ForwardContext.cache_info` and the ``forward_fft_reuse`` metric),
-evaluates all requested focus conditions with a single vectorized
-inverse FFT (:meth:`ForwardContext.ensure_fields`), and accumulates
-multi-corner gradients through one batched adjoint pass
+The context shares one ``fft2(M)`` per iterate across *all* corners and
+objective terms (observable through :meth:`ForwardContext.cache_info`
+and the ``forward_fft_reuse`` metric), evaluates all requested focus
+conditions with a single vectorized inverse FFT
+(:meth:`ForwardContext.ensure_fields`), and accumulates multi-corner
+gradients through one batched adjoint pass
 (:meth:`ForwardContext.accumulate_intensity_gradients`).
 """
 
@@ -27,9 +26,7 @@ from ..optics.hopkins import (
     ForwardCache,
     ForwardCacheInfo,
     aerial_image,
-    backproject_fields,
     batched_field_stacks,
-    weight_fields,
 )
 from ..process.corners import ProcessCorner, nominal_corner
 
@@ -40,21 +37,11 @@ class ForwardContext:
     Args:
         mask: continuous mask M in (0, 1).
         sim: the lithography simulator (provides kernels, resist, corners).
-        batched: use the batched shared-FFT engine; defaults to the
-            simulator's ``batch_forward`` setting.
     """
 
-    def __init__(
-        self,
-        mask: np.ndarray,
-        sim: LithographySimulator,
-        batched: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, mask: np.ndarray, sim: LithographySimulator) -> None:
         self.mask = np.asarray(mask, dtype=np.float64)
         self.sim = sim
-        self.batched = bool(
-            getattr(sim, "batch_forward", True) if batched is None else batched
-        )
         self._cache = ForwardCache(self.mask, obs=sim.obs, xp=sim.xp)
         self._fields: Dict[float, np.ndarray] = {}
         self._intensity: Dict[float, np.ndarray] = {}
@@ -66,9 +53,9 @@ class ForwardContext:
         return nominal_corner()
 
     def cache_info(self) -> ForwardCacheInfo:
-        """Mask-spectrum reuse statistics of the batched engine.
+        """Mask-spectrum reuse statistics.
 
-        ``mask_ffts`` is exactly 1 after any batched forward work: one
+        ``mask_ffts`` is exactly 1 after any forward work: one
         ``fft2(M)`` per mask per iteration, shared everywhere.
         """
         return self._cache.info()
@@ -76,10 +63,9 @@ class ForwardContext:
     def ensure_fields(self, corners: Iterable[ProcessCorner]) -> None:
         """Prefetch coherent fields for all corners' focus conditions.
 
-        In batched mode every missing focus is evaluated through one
-        vectorized ``ifft2`` call (the ``forward.batched`` span); the
-        legacy mode computes them per focus.  Already-cached focus
-        values cost nothing, so calling this repeatedly is safe.
+        Every missing focus is evaluated through one vectorized ``ifft2``
+        call (the ``forward.batched`` span).  Already-cached focus values
+        cost nothing, so calling this repeatedly is safe.
         """
         wanted: List[float] = []
         for corner in corners:
@@ -87,12 +73,6 @@ class ForwardContext:
             if key not in self._fields and key not in wanted:
                 wanted.append(key)
         if not wanted:
-            return
-        if not self.batched:
-            for key in wanted:
-                self._fields[key] = self.sim.fields(
-                    self.mask, ProcessCorner("prefetch", key, 1.0)
-                )
             return
         kernel_sets = [self.sim.kernels_at(key) for key in wanted]
         with self.sim.obs.tracer.span("forward.batched"):
@@ -105,10 +85,7 @@ class ForwardContext:
         corner = corner or self.nominal
         key = float(corner.defocus_nm)
         if key not in self._fields:
-            if self.batched:
-                self.ensure_fields([corner])
-            else:
-                self._fields[key] = self.sim.fields(self.mask, corner)
+            self.ensure_fields([corner])
         return self._fields[key]
 
     def _intensity_at_focus(self, corner: ProcessCorner) -> np.ndarray:
@@ -129,19 +106,9 @@ class ForwardContext:
             obs = self.sim.obs
             obs.metrics.counter("forward_evals_total").inc()
             with obs.tracer.span("aerial"):
-                if self.batched:
-                    # Corners sharing a focus share one intensity image;
-                    # dose is a scalar factor (I = dose * sum_k w_k |E_k|^2).
-                    self._aerial[key] = corner.dose * self._intensity_at_focus(corner)
-                else:
-                    kernels = self.sim.kernels_at(corner.defocus_nm)
-                    self._aerial[key] = aerial_image(
-                        self.mask,
-                        kernels,
-                        dose=corner.dose,
-                        fields=self.fields(corner),
-                        xp=self.sim.xp,
-                    )
+                # Corners sharing a focus share one intensity image;
+                # dose is a scalar factor (I = dose * sum_k w_k |E_k|^2).
+                self._aerial[key] = corner.dose * self._intensity_at_focus(corner)
         return self._aerial[key]
 
     def soft_image(self, corner: Optional[ProcessCorner] = None) -> np.ndarray:
@@ -159,35 +126,17 @@ class ForwardContext:
         self.ensure_fields(corners)
         return [self.soft_image(corner) for corner in corners]
 
-    def intensity_gradient_to_mask(
-        self, dF_dI: np.ndarray, corner: Optional[ProcessCorner] = None
-    ) -> np.ndarray:
-        """Back-propagate an intensity-space gradient onto the mask plane.
-
-        Given ``dF/dI_eff`` at a corner (``I_eff`` is the post-diffusion
-        intensity the resist thresholds), returns ``dF/dM`` using the
-        adjoint chain: the symmetric Gaussian diffusion adjoint, then the
-        adjoint of the SOCS imaging operator (the corner's dose factor is
-        included, since ``I = dose * sum_k w_k |E_k|^2``).
-        """
-        corner = corner or self.nominal
-        kernels = self.sim.kernels_at(corner.defocus_nm)
-        fields = self.fields(corner)
-        with self.sim.obs.tracer.span("backproject"):
-            dF_dI = self.sim.resist.diffuse(np.asarray(dF_dI, dtype=np.float64))
-            weighted = weight_fields(dF_dI, fields, self.sim.xp)
-            return corner.dose * backproject_fields(weighted, kernels, xp=self.sim.xp)
-
     def accumulate_intensity_gradients(
         self, contributions: Sequence[Tuple[Optional[ProcessCorner], np.ndarray]]
     ) -> np.ndarray:
-        """Sum of per-corner intensity-space gradients on the mask plane.
+        """Sum of ``(corner, dF/dI_eff)`` gradients on the mask plane.
 
-        In batched mode the whole set is dose-combined per focus and
-        back-projected through one batched adjoint
-        (:meth:`LithographySimulator.gradient_all_corners`); the legacy
-        mode back-projects each contribution separately, matching the
-        historical per-corner path bit for bit.
+        ``I_eff`` is the post-diffusion intensity the resist thresholds;
+        a ``None`` corner means nominal.  The adjoint is the diffusion
+        adjoint, then the SOCS adjoint, times each corner's dose: the
+        set is dose-combined per focus and back-projected in one batched
+        pass (:meth:`LithographySimulator.gradient_all_corners`) that
+        reuses this context's fields.
         """
         resolved = [
             (corner if corner is not None else self.nominal, df_di)
@@ -195,12 +144,7 @@ class ForwardContext:
         ]
         if not resolved:
             return np.zeros_like(self.mask)
-        if not self.batched:
-            total = np.zeros_like(self.mask)
-            for corner, df_di in resolved:
-                total += self.intensity_gradient_to_mask(df_di, corner)
-            return total
         self.ensure_fields([corner for corner, _ in resolved])
         return self.sim.gradient_all_corners(
-            self.mask, resolved, fields_by_focus=self._fields, batched=True
+            self.mask, resolved, fields_by_focus=self._fields
         )

@@ -132,7 +132,8 @@ class TestReferencePin:
         mask = random_mask(rng, pinned_sim.grid.shape)
         corners = pinned_sim.corners()
         images = pinned_sim.simulate_all_corners(mask, corners)
-        for image, reference in zip(images, reference_aerials(pinned_sim, mask, corners)):
+        references = reference_aerials(pinned_sim, mask, corners)
+        for image, reference in zip(images, references):
             assert np.array_equal(image, reference)
 
     def test_gradient_all_corners_matches(self, pinned_sim, rng):
@@ -249,9 +250,10 @@ class TestSimulatorEquivalence:
     def test_pv_band_matches(self, backend_tiny_sim, backend, rng):
         mask = random_mask(rng, backend_tiny_sim.grid.shape)
         band = backend_tiny_sim.pv_band(mask)
+        corners = backend_tiny_sim.corners()
         printed = [
             backend_tiny_sim.resist.develop(aerial)
-            for aerial in reference_aerials(backend_tiny_sim, mask, backend_tiny_sim.corners())
+            for aerial in reference_aerials(backend_tiny_sim, mask, corners)
         ]
         reference = pv_band(printed)
         if backend.is_reference:
