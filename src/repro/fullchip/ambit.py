@@ -299,7 +299,7 @@ class AmbitModel:
 class WindowSimulator(LithographySimulator):
     """A :class:`LithographySimulator` driven by an :class:`AmbitModel`.
 
-    Only :meth:`kernels_at` changes: instead of a fresh SOCS build per
+    Only the kernel build changes: instead of a fresh SOCS build per
     grid (whose frequency lattice would depend on the window size), the
     kernels come from the shared ambit-truncated stencils — so every
     window of a full-chip run, and the monolithic reference, image with
@@ -323,20 +323,10 @@ class WindowSimulator(LithographySimulator):
         super().__init__(config, obs=obs, backend=backend)
         self.model = model
 
-    def kernels_at(self, defocus_nm: float = 0.0) -> SOCSKernels:
-        """The ambit model's kernels on this window (cache-accounted)."""
-        key = float(defocus_nm)
-        cached = self._kernel_cache.get(key)
-        if cached is not None:
-            self._cache_hits += 1
-            self.obs.metrics.counter("kernel_cache_hits").inc()
-            return cached
-        self._cache_misses += 1
-        self.obs.metrics.counter("kernel_cache_misses").inc()
+    def _build_kernels(self, defocus_nm: float) -> SOCSKernels:
+        """The ambit model's kernels embedded on this window."""
         with self.obs.tracer.span("window_kernel_embed"):
-            kernels = self.model.window_kernels(self.grid.shape, key)
-        self._kernel_cache[key] = kernels
-        return kernels
+            return self.model.window_kernels(self.grid.shape, defocus_nm)
 
 
 # -- shared model cache --------------------------------------------------------

@@ -119,13 +119,17 @@ class LithographySimulator:
             return cached
         self._cache_misses += 1
         self.obs.metrics.counter("kernel_cache_misses").inc()
-        logger.debug("building SOCS kernels at defocus %.1f nm", key)
-        with self.obs.tracer.span("kernel_build"):
-            kernels = build_socs_kernels(
-                self.grid, self.config.optics, defocus_nm=key, source=self._source
-            )
+        kernels = self._build_kernels(key)
         self._kernel_cache[key] = kernels
         return kernels
+
+    def _build_kernels(self, defocus_nm: float) -> SOCSKernels:
+        """Build the kernel set for one focus (called on a cache miss)."""
+        logger.debug("building SOCS kernels at defocus %.1f nm", defocus_nm)
+        with self.obs.tracer.span("kernel_build"):
+            return build_socs_kernels(
+                self.grid, self.config.optics, defocus_nm=defocus_nm, source=self._source
+            )
 
     def cache_info(self) -> KernelCacheInfo:
         """Hit/miss statistics of the kernel cache since construction."""
