@@ -43,7 +43,7 @@ from repro.optics.kernels import common_grid_shape
 from repro.process.corners import ProcessCorner, nominal_corner
 from repro.process.pvband import pv_band, pv_band_area
 
-AERIAL_TOL = 1e-10  # max abs diff floor on aerial images off the reference backend
+AERIAL_TOL = 1e-10  # max abs diff on aerial images for float64 backends
 GRAD_RTOL = 1e-9  # gradients only reassociate floating-point sums
 
 #: Window edge of a default full-chip tile at reduced scale: a 256-px
