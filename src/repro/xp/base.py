@@ -29,6 +29,7 @@ backend-parametrized equivalence suites):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -82,7 +83,7 @@ class ArrayBackend:
                 f"unknown backend precision {precision!r}; expected one of {PRECISIONS}"
             )
         self.precision = precision
-        self._kernel_data: Dict[int, DeviceKernelData] = {}
+        self._kernel_data: Dict[int, Tuple[weakref.ref, DeviceKernelData]] = {}
 
     # -- identity / policy -------------------------------------------------
 
@@ -187,17 +188,22 @@ class ArrayBackend:
         Keyed by object identity like
         :meth:`~repro.optics.hopkins.ForwardCache.gathered`: kernel sets
         are built once per (grid, focus) and live as long as their
-        simulator, so identity is a stable key and the converted
-        spectra/weights/index arrays are reused by every forward and
-        adjoint call on this backend instance.
+        simulator, so the converted spectra/weights/index arrays are
+        reused by every forward and adjoint call on this backend
+        instance.  An id is unique only among live objects, so each
+        entry keeps a weak reference to its kernel set and is served
+        only to that same object, never to a later set that reuses a
+        dead one's id.
         """
-        hit = self._kernel_data.get(id(kernels))
-        if hit is None:
-            hit = DeviceKernelData(
-                weights=self.asarray(kernels.weights, "float"),
-                spectra=self.asarray(kernels.spectra, "complex"),
-                rows=self.asarray(kernels.support.rows, "index"),
-                cols=self.asarray(kernels.support.cols, "index"),
-            )
-            self._kernel_data[id(kernels)] = hit
-        return hit
+        key = id(kernels)
+        entry = self._kernel_data.get(key)
+        if entry is not None and entry[0]() is kernels:
+            return entry[1]
+        data = DeviceKernelData(
+            weights=self.asarray(kernels.weights, "float"),
+            spectra=self.asarray(kernels.spectra, "complex"),
+            rows=self.asarray(kernels.support.rows, "index"),
+            cols=self.asarray(kernels.support.cols, "index"),
+        )
+        self._kernel_data[key] = (weakref.ref(kernels), data)
+        return data

@@ -263,6 +263,23 @@ class TestAdapterConformance:
         e = backend.empty((2, 2), "float")
         assert backend.to_numpy(e).shape == (2, 2)
 
+    def test_kernel_data_not_served_for_a_recycled_id(self, backend, tiny_sim):
+        # An id is unique only among live objects: a kernel set allocated
+        # where a dead one lived must not get the dead set's arrays.
+        base = tiny_sim.kernels_at(0.0)
+        for _ in range(100):
+            dead = base.truncated(2)
+            backend.kernel_data(dead)
+            dead_id = id(dead)
+            del dead
+            fresh = base.truncated(3)
+            if id(fresh) == dead_id:
+                break
+        else:
+            pytest.skip("the allocator never reused a dead kernel set's id")
+        spectra = backend.to_numpy(backend.kernel_data(fresh).spectra)
+        assert spectra.shape == fresh.spectra.shape
+
     def test_kernel_data_cached_by_identity(self, backend, tiny_sim):
         kernels = tiny_sim.kernels_at(0.0)
         first = backend.kernel_data(kernels)
