@@ -903,13 +903,17 @@ class TileJobQueue:
                 tile, token = parsed
                 if tile not in best or (token, -rank) > best[tile][:2]:
                     best[tile] = (token, -rank, key)
-        settled = set(best)
+        seen = set(best)
         for _token, _rank, key in best.values():
             counts[key] += 1
+        # A claim renames a ticket from pending/ to leased/ between the
+        # two directory scans, so one tile can show up in both: count
+        # each tile once.
         for sub, key in ((PENDING_DIRNAME, "pending"), (LEASED_DIRNAME, "leased")):
             for path in self._dir(sub).glob("*.json"):
                 parsed = _parse_entry_name(path.name)
-                if parsed is not None and parsed[0] not in settled:
+                if parsed is not None and parsed[0] not in seen:
+                    seen.add(parsed[0])
                     counts[key] += 1
         return counts
 
