@@ -214,8 +214,13 @@ class TestEngineQueueExecutor:
                 queue_lease_s=0.0,
             )
 
-    def test_queue_run_matches_default_run(self, tmp_path):
-        """A clean queue-executor solve is bit-identical to the default."""
+    @pytest.mark.parametrize(
+        "executor, workers",
+        [("queue", 1), ("pool", 2), ("queue", 2)],
+        ids=["queue-1", "pool-2", "queue-2"],
+    )
+    def test_queue_run_matches_default_run(self, tmp_path, executor, workers):
+        """A clean pool or queue solve is bit-identical to the serial default."""
         litho = _fc_litho()
         layout = synthetic_canvas(2048.0, 1024.0, seed=2)
         reference = FullChipEngine(
@@ -230,18 +235,19 @@ class TestEngineQueueExecutor:
             config=FullChipConfig(
                 tile_nm=1024.0,
                 probe_extent_nm=PROBE_NM,
-                executor="queue",
-                workers=1,
+                executor=executor,
+                workers=workers,
                 telemetry_dir=str(run_dir),
                 queue_lease_s=60.0,
             ),
         ).solve(layout)
         assert result.all_ok
         assert np.array_equal(result.mask, reference.mask)
-        state = load_queue_state(run_dir)
-        assert state is not None
-        assert state["counts"]["done"] == len(result.tile_results)
-        assert state["counts"]["requeued"] == 0
+        if executor == "queue":
+            state = load_queue_state(run_dir)
+            assert state is not None
+            assert state["counts"]["done"] == len(result.tile_results)
+            assert state["counts"]["requeued"] == 0
 
 
 @pytest.fixture(scope="module")
