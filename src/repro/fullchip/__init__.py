@@ -28,9 +28,6 @@ from .executor import (
 )
 from .queue import ClaimedJob, QueueConfig, TileJobQueue, load_queue_state
 from .scheduler import (
-    FAIL_TILES_ENV,
-    KILL_TILES_ENV,
-    STALL_TILES_ENV,
     TileJob,
     TileResult,
     run_tile_jobs,
@@ -70,9 +67,6 @@ __all__ = [
     "QueueConfig",
     "TileJobQueue",
     "load_queue_state",
-    "FAIL_TILES_ENV",
-    "KILL_TILES_ENV",
-    "STALL_TILES_ENV",
     "TileJob",
     "TileResult",
     "run_tile_jobs",

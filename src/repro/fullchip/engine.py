@@ -64,6 +64,7 @@ from .ambit import (
     ambit_model_for,
     model_cache_info,
 )
+from .executor import executor_for
 from .scheduler import TileJob, TileResult, run_tile_jobs
 from .stitch import SeamReport, build_seam_report, stitch_masks
 from .tiling import TilePlan, build_tile_plan
@@ -119,17 +120,10 @@ class FullChipConfig:
             defers to the optics config / ``REPRO_ARRAY_BACKEND`` /
             numpy-reference chain.  Unknown specs raise
             :class:`~repro.errors.OpticsError` at construction.
-        shared_results: pass solved window masks back from pool workers
-            through POSIX shared memory instead of pickling them
-            (observable via the ``fullchip_result_bytes_shared`` /
-            ``fullchip_result_bytes_pickled`` counters).  Only affects
-            multi-worker pool runs; inline solves hand the array over
-            directly and the queue executor transports results through
-            its durable ``results/`` files.
         executor: tile placement strategy — ``"pool"`` (the default:
-            fork pool, inline when ``workers <= 1``), ``"serial"``
-            (always inline), or ``"queue"`` (the durable file-backed
-            job queue under ``<telemetry_dir>/queue/`` with
+            fork pool, inline when ``workers <= 1`` or for one tile),
+            ``"serial"`` (always inline), or ``"queue"`` (the durable
+            file-backed job queue under ``<telemetry_dir>/queue/`` with
             crash-recovering ``repro worker`` processes; requires a
             ``telemetry_dir``).
         queue_lease_s: queue executor only — lease term granted to a
@@ -170,7 +164,6 @@ class FullChipConfig:
     watchdog_min_stall_s: float = 10.0
     watchdog_cancel: bool = False
     backend: Optional[str] = None
-    shared_results: bool = True
     executor: str = "pool"
     queue_lease_s: float = 30.0
     queue_max_requeues: int = 2
@@ -596,37 +589,21 @@ class FullChipEngine:
                     timeout_s=cfg.tile_timeout_s,
                     telemetry=telemetry_cfg,
                     backend=cfg.backend,
-                    # Shared-memory transport is a pool-boundary trick;
-                    # the queue executor moves results through its
-                    # durable results/ files instead.
-                    share_result=(
-                        cfg.shared_results
-                        and cfg.workers > 1
-                        and cfg.executor == "pool"
-                    ),
                 )
                 for tile in plan
             ]
-            # "pool" keeps executor=None: run_tile_jobs' legacy dispatch
-            # (inline for workers<=1 or a single tile) is the
-            # golden-tested historical behavior, preserved bit-for-bit.
-            executor = None
-            if cfg.executor != "pool":
-                from .executor import executor_for
-
-                executor = executor_for(
-                    cfg.executor,
-                    cfg.workers,
-                    run_dir=cfg.telemetry_dir,
-                    queue_config=(
-                        cfg.queue_config() if cfg.executor == "queue" else None
-                    ),
-                    drain_timeout_s=cfg.queue_drain_timeout_s,
-                )
+            executor = executor_for(
+                cfg.executor,
+                cfg.workers,
+                run_dir=cfg.telemetry_dir,
+                queue_config=(
+                    cfg.queue_config() if cfg.executor == "queue" else None
+                ),
+                drain_timeout_s=cfg.queue_drain_timeout_s,
+            )
             try:
                 results = run_tile_jobs(
                     jobs,
-                    workers=cfg.workers,
                     keep_going=cfg.keep_going,
                     obs=self.obs,
                     progress=progress,

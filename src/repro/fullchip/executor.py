@@ -3,12 +3,10 @@
 :func:`repro.fullchip.scheduler.run_tile_jobs` dispatches every tile
 batch through one of three interchangeable executors:
 
-* :class:`SerialExecutor` — solves inline in the parent process (the
-  historical ``workers <= 1`` path, verbatim).
-* :class:`PoolExecutor` — the fork ``ProcessPoolExecutor`` path
-  (the historical multi-worker path, verbatim): warmed model cache
-  inherited through fork, shared-memory result transport, bounded
-  waits interleaved with liveness polling.
+* :class:`SerialExecutor` — solves inline in the parent process.
+* :class:`PoolExecutor` — the fork ``ProcessPoolExecutor`` path:
+  warmed model cache inherited through fork, results pickled back over
+  the pool's pipe, bounded waits interleaved with liveness polling.
 * :class:`QueueWorkerExecutor` — durable at-least-once execution over
   the file-backed :class:`~repro.fullchip.queue.TileJobQueue`: jobs are
   persisted, any number of independently launched ``repro worker``
@@ -32,7 +30,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -44,9 +42,7 @@ from .queue import QUEUE_DIRNAME, ClaimedJob, QueueConfig, TileJobQueue
 from .scheduler import (
     TileJob,
     TileResult,
-    _ensure_resource_tracker,
     _pool_context,
-    absorb_shared_mask,
     solve_tile_job,
     warm_model_cache,
 )
@@ -234,7 +230,7 @@ class SerialExecutor(TileExecutor):
             if ctx.status is not None:
                 ctx.status.mark_running(job.tile.name, pid=os.getpid())
                 ctx.status.write()
-            result = absorb_shared_mask(solve_tile_job(job), ctx.obs)
+            result = solve_tile_job(job)
             ctx.record(result)
             results[job.tile.index] = result
             ctx.write_status_counters()
@@ -247,7 +243,11 @@ class SerialExecutor(TileExecutor):
 
 
 class PoolExecutor(TileExecutor):
-    """Solve jobs on a fork ``ProcessPoolExecutor`` (the historical path)."""
+    """Solve jobs on a fork ``ProcessPoolExecutor``.
+
+    A single job is solved inline, with no fork: there is nothing to
+    run beside it.
+    """
 
     name = "pool"
 
@@ -259,13 +259,13 @@ class PoolExecutor(TileExecutor):
     def run(
         self, jobs: Sequence[TileJob], ctx: ExecutionContext
     ) -> Dict[Tuple[int, int], TileResult]:
+        if len(jobs) == 1:
+            return SerialExecutor().run(jobs, ctx)
         poll_s = (
             ctx.watchdog.config.poll_s if ctx.watchdog is not None else None
         )
         results: Dict[Tuple[int, int], TileResult] = {}
         warm_model_cache(jobs)
-        if any(job.share_result for job in jobs):
-            _ensure_resource_tracker()
         with ProcessPoolExecutor(
             max_workers=min(self.workers, len(jobs)), mp_context=_pool_context()
         ) as pool:
@@ -295,7 +295,6 @@ class PoolExecutor(TileExecutor):
                                 error=f"{type(exc).__name__}: {exc}",
                             ),
                         )
-                    result = absorb_shared_mask(result, ctx.obs)
                     ctx.record(result)
                     results[job.tile.index] = result
                     if not result.ok and first_failure is None:
@@ -497,15 +496,8 @@ class QueueWorkerExecutor(TileExecutor):
     def run(
         self, jobs: Sequence[TileJob], ctx: ExecutionContext
     ) -> Dict[Tuple[int, int], TileResult]:
-        # Queue transport is the durable results file, not shared
-        # memory; resume semantics ride on queue adoption.
-        queue_jobs = {
-            job.tile.name: (
-                job.tile.index,
-                replace(job, share_result=False) if job.share_result else job,
-            )
-            for job in jobs
-        }
+        # Resume semantics ride on queue adoption.
+        queue_jobs = {job.tile.name: (job.tile.index, job) for job in jobs}
         adopt = all(job.resume for job in jobs) and bool(jobs)
         trace_id = next(
             (
@@ -676,8 +668,9 @@ def executor_for(
 ) -> TileExecutor:
     """Build the executor named by ``kind`` (``pool``/``queue``/``serial``).
 
-    ``pool`` with ``workers <= 1`` degrades to the serial executor —
-    the historical ``run_tile_jobs`` behavior, preserved bit-for-bit.
+    The one place that picks an executor: the engine always asks here.
+    ``pool`` with ``workers <= 1`` is the serial executor (and a pool
+    given a single job solves it inline).
     ``queue`` needs ``run_dir`` (the telemetry run directory whose
     ``queue/`` subdirectory holds the durable state).
     """

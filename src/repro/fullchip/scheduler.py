@@ -4,10 +4,10 @@ Each tile is an independent :class:`TileJob` — a picklable bundle of the
 clipped window layout plus every configuration knob a worker needs —
 executed by the module-level :func:`solve_tile_job` through a pluggable
 :class:`~repro.fullchip.executor.TileExecutor`: inline
-(``SerialExecutor``, the ``workers <= 1`` path), on a fork
-``ProcessPoolExecutor`` (``PoolExecutor``), or over the durable
-file-backed job queue (``QueueWorkerExecutor`` +
-:mod:`repro.fullchip.queue`, any number of ``repro worker`` processes).
+(``SerialExecutor``), on a fork ``ProcessPoolExecutor``
+(``PoolExecutor``), or over the durable file-backed job queue
+(``QueueWorkerExecutor`` + :mod:`repro.fullchip.queue`, any number of
+``repro worker`` processes).
 
 Fault isolation mirrors the batch harness: per-tile retries, a per-tile
 wall-clock budget (:func:`repro.harness.call_with_budget` inside the
@@ -32,7 +32,6 @@ import json
 import logging
 import multiprocessing
 import os
-import signal
 import tempfile
 import time
 from contextlib import nullcontext
@@ -58,6 +57,7 @@ from ..obs.distributed import (
 )
 from ..opc.checkpoint import CheckpointConfig, latest_checkpoint
 from ..opc.mosaic import MosaicExact, MosaicFast, MosaicResult, MosaicSolver
+from ..testing.faults import fire_tile_fault
 from ..xp import validate_backend_spec
 from .ambit import DEFAULT_ENERGY_TOL, DEFAULT_PROBE_EXTENT_NM, ambit_model_for
 from .tiling import TileSpec
@@ -67,33 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (live imports us not)
     from .executor import TileExecutor
 
 logger = logging.getLogger(__name__)
-
-#: Environment hook for deterministic fault injection: a semicolon-
-#: separated list of ``row,col`` tile indices whose solves raise.  Read
-#: inside the worker, so it works across process boundaries (the
-#: environment is inherited by pool workers).
-FAIL_TILES_ENV = "REPRO_FULLCHIP_FAIL_TILES"
-
-#: Environment hook for deterministic *stall* injection: a semicolon-
-#: separated list of ``row,col[:seconds]`` entries.  A matching tile
-#: writes a few quick heartbeats, then stops making progress for
-#: ``seconds`` (default 3600 — effectively forever) before failing, so
-#: the liveness watchdog path is testable without a real hang.
-STALL_TILES_ENV = "REPRO_FULLCHIP_STALL_TILES"
-
-#: Environment hook for deterministic *crash* injection: a semicolon-
-#: separated list of ``row,col[:pulses]`` entries.  A matching tile's
-#: worker pulses a few heartbeats, then SIGKILLs itself mid-solve — no
-#: final heartbeat, no result, no goodbye — so lease expiry and crash
-#: recovery are testable deterministically.  Fires only on the tile's
-#: *first* attempt (attempt 1), so the requeued attempt completes.
-KILL_TILES_ENV = "REPRO_FULLCHIP_KILL_TILES"
-
-#: Default injected-stall duration when the env entry has no seconds.
-_DEFAULT_STALL_S = 3600.0
-
-#: Default heartbeat pulses before an injected kill fires.
-_DEFAULT_KILL_PULSES = 3
 
 #: Name of the per-tile completed-result marker file.
 DONE_MARKER = "done.npz"
@@ -128,10 +101,6 @@ class TileJob:
             environment / numpy-reference chain.  Backends are cached
             per spec and process, so every tile a pool worker solves
             batches through one backend instance.
-        share_result: return the solved window mask through POSIX
-            shared memory (a :class:`SharedMaskRef` in the result)
-            instead of pickling the ndarray through the pool pipe; the
-            parent copies it out and unlinks the segment.
     """
 
     tile: TileSpec
@@ -149,7 +118,6 @@ class TileJob:
     timeout_s: Optional[float] = None
     telemetry: Optional[WorkerTelemetryConfig] = None
     backend: Optional[str] = None
-    share_result: bool = False
 
     def __post_init__(self) -> None:
         if self.solver_mode not in _SOLVER_MODES:
@@ -165,23 +133,6 @@ class TileJob:
             object.__setattr__(self, "backend", validate_backend_spec(self.backend))
 
 
-@dataclass(frozen=True)
-class SharedMaskRef:
-    """Handle to a solved window mask parked in POSIX shared memory.
-
-    Workers built with ``share_result=True`` copy the mask into a
-    ``multiprocessing.shared_memory`` segment and send this small
-    picklable reference through the pool pipe instead of the ndarray;
-    the parent attaches, copies the mask out, and unlinks the segment
-    (:func:`absorb_shared_mask`).
-    """
-
-    name: str
-    shape: Tuple[int, int]
-    dtype: str
-    nbytes: int
-
-
 @dataclass
 class TileResult:
     """Outcome of one tile solve.
@@ -189,17 +140,13 @@ class TileResult:
     Attributes:
         index: the tile's plan index.
         status: harness-style execution record.
-        mask: optimized window mask (None when the tile failed, or when
-            the mask travelled through shared memory and has not been
-            absorbed yet).
+        mask: optimized window mask (None when the tile failed).
         epe_violations / pv_band_nm2 / score_total: the tile's own
             contest-score components, measured on its window.
         from_cache: the result came from a prior run's done marker.
         telemetry: compact worker-telemetry summary (None when the job
             ran without telemetry, came from cache, or died before the
             worker could summarize).
-        mask_ref: shared-memory handle standing in for ``mask`` while
-            the result crosses the process boundary.
     """
 
     index: Tuple[int, int]
@@ -210,145 +157,10 @@ class TileResult:
     score_total: float = 0.0
     from_cache: bool = False
     telemetry: Optional[TileTelemetry] = None
-    mask_ref: Optional[SharedMaskRef] = None
 
     @property
     def ok(self) -> bool:
         return self.status.ok
-
-
-def _injected_failure(tile: TileSpec) -> None:
-    spec = os.environ.get(FAIL_TILES_ENV, "")
-    if not spec:
-        return
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            row, col = (int(v) for v in part.split(","))
-        except ValueError as exc:
-            raise FullChipError(
-                f"bad {FAIL_TILES_ENV} entry {part!r} (expected 'row,col')"
-            ) from exc
-        if (row, col) == tile.index:
-            raise FullChipError(f"injected failure for tile {tile.index}")
-
-
-def parse_stall_spec(spec: str) -> Dict[Tuple[int, int], float]:
-    """Parse a ``REPRO_FULLCHIP_STALL_TILES`` value.
-
-    Entries are semicolon-separated ``row,col`` or ``row,col:seconds``.
-
-    Raises:
-        FullChipError: on a malformed entry.
-    """
-    stalls: Dict[Tuple[int, int], float] = {}
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        index_part, _, seconds_part = part.partition(":")
-        try:
-            row, col = (int(v) for v in index_part.split(","))
-            seconds = float(seconds_part) if seconds_part else _DEFAULT_STALL_S
-        except ValueError as exc:
-            raise FullChipError(
-                f"bad {STALL_TILES_ENV} entry {part!r} "
-                f"(expected 'row,col' or 'row,col:seconds')"
-            ) from exc
-        if seconds <= 0:
-            raise FullChipError(
-                f"bad {STALL_TILES_ENV} entry {part!r}: seconds must be positive"
-            )
-        stalls[(row, col)] = seconds
-    return stalls
-
-
-def _injected_stall(tile: TileSpec, obs: Optional[Instrumentation]) -> None:
-    """Honor the stall-injection hook (runs in the worker).
-
-    The stalled tile first pulses a few heartbeats so the watchdog has
-    observed *progress* (arming its per-tile track), then goes silent —
-    the signature of a genuinely hung worker — and finally raises so the
-    tile surfaces as failed.
-    """
-    spec = os.environ.get(STALL_TILES_ENV, "")
-    if not spec:
-        return
-    seconds = parse_stall_spec(spec).get(tile.index)
-    if seconds is None:
-        return
-    heartbeat = obs.heartbeat if obs is not None else None
-    for iteration in range(3):
-        if heartbeat is not None:
-            heartbeat.beat(phase="optimize", iteration=iteration, force=True)
-        time.sleep(0.01)
-    logger.warning("injected stall for tile %s (%.1fs)", tile.index, seconds)
-    deadline = time.monotonic() + seconds
-    while time.monotonic() < deadline:
-        time.sleep(0.05)
-    raise FullChipError(
-        f"injected stall for tile {tile.index} expired after {seconds:.1f}s"
-    )
-
-
-def parse_kill_spec(spec: str) -> Dict[Tuple[int, int], int]:
-    """Parse a ``REPRO_FULLCHIP_KILL_TILES`` value.
-
-    Entries are semicolon-separated ``row,col`` or ``row,col:pulses``
-    (heartbeat pulses emitted before the SIGKILL; default 3).
-
-    Raises:
-        FullChipError: on a malformed entry.
-    """
-    kills: Dict[Tuple[int, int], int] = {}
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        index_part, _, pulses_part = part.partition(":")
-        try:
-            row, col = (int(v) for v in index_part.split(","))
-            pulses = int(pulses_part) if pulses_part else _DEFAULT_KILL_PULSES
-        except ValueError as exc:
-            raise FullChipError(
-                f"bad {KILL_TILES_ENV} entry {part!r} "
-                f"(expected 'row,col' or 'row,col:pulses')"
-            ) from exc
-        if pulses < 0:
-            raise FullChipError(
-                f"bad {KILL_TILES_ENV} entry {part!r}: pulses must be >= 0"
-            )
-        kills[(row, col)] = pulses
-    return kills
-
-
-def _injected_kill(
-    tile: TileSpec, obs: Optional[Instrumentation], attempt: int
-) -> None:
-    """Honor the crash-injection hook (runs in the worker).
-
-    The matching tile pulses a few heartbeats (so the run has observed
-    the worker alive and working), then SIGKILLs its own process — the
-    signature of an OOM kill or a lost host.  Unlike the stall/failure
-    hooks nothing is raised and no final heartbeat is written: the
-    worker simply ceases to exist mid-solve.  Only attempt 1 is killed,
-    so a requeued job recovers deterministically.
-    """
-    spec = os.environ.get(KILL_TILES_ENV, "")
-    if not spec or attempt != 1:
-        return
-    pulses = parse_kill_spec(spec).get(tile.index)
-    if pulses is None:
-        return
-    heartbeat = obs.heartbeat if obs is not None else None
-    for iteration in range(pulses):
-        if heartbeat is not None:
-            heartbeat.beat(phase="optimize", iteration=iteration, force=True)
-        time.sleep(0.01)
-    logger.warning("injected kill for tile %s (SIGKILL pid %d)", tile.index, os.getpid())
-    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _tile_state_dir(job: TileJob) -> Optional[Path]:
@@ -443,9 +255,9 @@ def _solve_once(
     attempt: int = 1,
 ) -> MosaicResult:
     """One solve attempt on the window simulator (runs in the worker)."""
-    _injected_failure(job.tile)
-    _injected_stall(job.tile, obs)
-    _injected_kill(job.tile, obs, attempt)
+    fire_tile_fault(
+        job.tile.index, attempt, obs.heartbeat if obs is not None else None
+    )
     model = ambit_model_for(
         job.litho, energy_tol=job.energy_tol, probe_extent_nm=job.probe_extent_nm
     )
@@ -470,102 +282,6 @@ def _solve_once(
     return solver.solve(job.layout, resume_from=resume_from)
 
 
-def export_shared_mask(result: TileResult) -> TileResult:
-    """Park a result's mask in shared memory (runs in the worker).
-
-    Replaces ``mask`` with a :class:`SharedMaskRef` so the pool pipe
-    carries a ~100-byte handle instead of a pickled ndarray.  Any
-    failure degrades gracefully back to the pickling path — transport
-    must never lose a solved tile.
-    """
-    if result.mask is None or result.mask_ref is not None:
-        return result
-    try:
-        from multiprocessing import shared_memory
-
-        mask = np.ascontiguousarray(result.mask)
-        segment = shared_memory.SharedMemory(create=True, size=mask.nbytes)
-        try:
-            np.ndarray(mask.shape, dtype=mask.dtype, buffer=segment.buf)[...] = mask
-            result.mask_ref = SharedMaskRef(
-                name=segment.name,
-                shape=tuple(mask.shape),
-                dtype=str(mask.dtype),
-                nbytes=int(mask.nbytes),
-            )
-            result.mask = None
-        finally:
-            segment.close()
-    except Exception as exc:  # noqa: BLE001 - fall back to pickling the mask
-        logger.warning(
-            "tile %s: shared-memory export failed (%s); pickling mask instead",
-            result.index, exc,
-        )
-    return result
-
-
-def absorb_shared_mask(
-    result: TileResult, obs: Optional[Instrumentation] = None
-) -> TileResult:
-    """Materialize a shared-memory mask in the parent and free the segment.
-
-    Updates the transport accounting either way:
-    ``fullchip_result_bytes_shared`` counts mask bytes that crossed via
-    shared memory, ``fullchip_result_bytes_pickled`` those that crossed
-    inside the pickled result — the observable proof that the pool has
-    stopped serializing mask ndarrays.
-    """
-    obs = obs or Instrumentation.disabled()
-    if result.mask_ref is None:
-        if result.mask is not None:
-            obs.metrics.counter("fullchip_result_bytes_pickled").inc(
-                int(result.mask.nbytes)
-            )
-        return result
-    ref = result.mask_ref
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=ref.name)
-        try:
-            result.mask = np.ndarray(
-                ref.shape, dtype=np.dtype(ref.dtype), buffer=segment.buf
-            ).copy()
-        finally:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already reclaimed
-                pass
-        result.mask_ref = None
-        obs.metrics.counter("fullchip_result_bytes_shared").inc(int(ref.nbytes))
-    except Exception as exc:  # noqa: BLE001 - a lost segment fails the tile
-        result.mask_ref = None
-        result.status = CellStatus(
-            status="failed",
-            attempts=result.status.attempts,
-            runtime_s=result.status.runtime_s,
-            error=f"shared-memory mask {ref.name} unreadable: {exc}",
-        )
-    return result
-
-
-def _ensure_resource_tracker() -> None:
-    """Start the multiprocessing resource tracker in this (parent) process.
-
-    Must happen *before* a fork pool is created: forked workers then
-    inherit the parent's tracker, so segments registered by workers and
-    unlinked by the parent reconcile in one place instead of producing
-    leaked-resource warnings at worker exit.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception as exc:  # noqa: BLE001 - tracker is best-effort hygiene
-        logger.debug("resource tracker not started: %s", exc)
-
-
 def solve_tile_job(
     job: TileJob,
     attempt_base: int = 0,
@@ -577,8 +293,6 @@ def solve_tile_job(
     into the returned :class:`TileResult` so keep-going decisions happen
     in the parent, on data.  Empty tiles (no geometry in the window)
     short-circuit to an all-dark mask without spinning up a solver.
-    With ``job.share_result`` the returned mask travels through shared
-    memory (:func:`export_shared_mask`) rather than the result pickle.
 
     ``attempt_base`` offsets the attempt numbering for queue workers
     re-running a requeued job (generation N starts at attempt N+1, so
@@ -587,15 +301,6 @@ def solve_tile_job(
     ``on_beat`` is forwarded to the worker's heartbeat writer — the
     queue executor's lease-renewal hook.
     """
-    result = _solve_tile_job_impl(job, attempt_base=attempt_base, on_beat=on_beat)
-    if job.share_result:
-        result = export_shared_mask(result)
-    return result
-
-
-def _solve_tile_job_impl(
-    job: TileJob, attempt_base: int = 0, on_beat=None
-) -> TileResult:
     tile = job.tile
     state_dir = _tile_state_dir(job)
     if job.resume and state_dir is not None:
@@ -785,7 +490,6 @@ def _clear_stale_heartbeats(
 
 def run_tile_jobs(
     jobs: Sequence[TileJob],
-    workers: int = 1,
     keep_going: bool = False,
     obs: Optional[Instrumentation] = None,
     progress: Callable[[str], None] = lambda msg: None,
@@ -800,8 +504,6 @@ def run_tile_jobs(
 
     Args:
         jobs: the tiles to solve.
-        workers: process count; ``<= 1`` runs inline in this process.
-            Only consulted when ``executor`` is None (legacy dispatch).
         keep_going: tolerate failed tiles (they come back as failed
             :class:`TileResult`s); when False the first failure raises
             :class:`~repro.errors.FullChipError` after the in-flight
@@ -826,11 +528,10 @@ def run_tile_jobs(
             watchdog poll and tile completion.
         heartbeat_dir: where the tile workers write their heartbeat
             files (read here for the watchdog and the status feed).
-        executor: explicit :class:`~repro.fullchip.executor.TileExecutor`
-            (``SerialExecutor`` / ``PoolExecutor`` /
-            ``QueueWorkerExecutor``).  None preserves the historical
-            dispatch: inline when ``workers <= 1`` or there is a single
-            job, otherwise the fork pool.
+        executor: the :class:`~repro.fullchip.executor.TileExecutor`
+            placing the tiles (see
+            :func:`~repro.fullchip.executor.executor_for`); None solves
+            them inline, in order.
         cancel: optional cooperative-cancel probe; executors poll it
             between placements and raise
             :class:`~repro.errors.FullChipCancelled` once it returns
@@ -843,14 +544,10 @@ def run_tile_jobs(
         raise FullChipError("run_tile_jobs needs at least one job")
     obs = obs or Instrumentation.disabled()
     # Imported lazily: executor.py imports solve_tile_job & co from here.
-    from .executor import ExecutionContext, PoolExecutor, SerialExecutor
+    from .executor import ExecutionContext, SerialExecutor
 
     if executor is None:
-        executor = (
-            SerialExecutor()
-            if workers <= 1 or len(jobs) == 1
-            else PoolExecutor(workers)
-        )
+        executor = SerialExecutor()
     ctx = ExecutionContext(
         jobs=jobs,
         keep_going=keep_going,

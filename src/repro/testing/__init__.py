@@ -1,15 +1,22 @@
 """Deterministic testing aids: fault injection for the robustness stack.
 
-Production code never imports this package; tests (and the CI
-fault-injection lane) use it to exercise the recovery, checkpoint, and
-harness-isolation paths end-to-end instead of trusting them on faith.
+Tests (and the CI fault-injection lane) use this package to exercise
+the recovery, checkpoint, and harness-isolation paths end-to-end
+instead of trusting them on faith.  Production code imports one hook
+from it: the full-chip tile worker calls :func:`fire_tile_fault` before
+each solve attempt, which does nothing unless ``REPRO_FULLCHIP_FAULTS``
+plans a fault for that tile.
 """
 
 from .faults import (
+    TILE_FAULTS_ENV,
     FaultInjector,
     FaultRecord,
     FaultyObjective,
     FaultySolverFactory,
+    TileFault,
+    fire_tile_fault,
+    parse_tile_faults,
 )
 
 __all__ = [
@@ -17,4 +24,8 @@ __all__ = [
     "FaultRecord",
     "FaultyObjective",
     "FaultySolverFactory",
+    "TILE_FAULTS_ENV",
+    "TileFault",
+    "fire_tile_fault",
+    "parse_tile_faults",
 ]

@@ -21,17 +21,26 @@ Every fired fault is appended to :attr:`FaultInjector.log`, so a test
 asserts both that the fault happened *and* that the system recovered
 from it.  Nothing here is random: the same arming always produces the
 same fault sequence.
+
+Full-chip tile solves can run in other processes (pool forks, ``repro
+worker``), out of an injector's reach, so they take their faults from
+the environment instead: the *tile fault plan* in
+``REPRO_FULLCHIP_FAULTS`` (:func:`parse_tile_faults`), fired by the
+tile worker through :func:`fire_tile_fault`.
 """
 
 from __future__ import annotations
 
+import logging
+import os
+import signal
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import ReproError
+from ..errors import FullChipError, ReproError
 
 __all__ = [
     "FaultInjector",
@@ -39,7 +48,29 @@ __all__ = [
     "FaultyObjective",
     "FaultySolverFactory",
     "InjectedFault",
+    "TILE_FAULTS_ENV",
+    "TileFault",
+    "fire_tile_fault",
+    "parse_tile_faults",
 ]
+
+logger = logging.getLogger(__name__)
+
+#: Environment variable holding the tile fault plan: ``;``-separated
+#: ``kind@row,col[:arg]`` entries.  Read inside the tile worker, so pool
+#: forks and hand-launched ``repro worker`` processes inherit it.
+TILE_FAULTS_ENV = "REPRO_FULLCHIP_FAULTS"
+
+#: Fault kind -> default argument (None: the kind takes no argument).
+_TILE_FAULT_DEFAULTS: Dict[str, Union[int, float, None]] = {
+    "fail": None,
+    "stall": 3600.0,
+    "kill": 3,
+}
+
+_TILE_FAULT_GRAMMAR = (
+    "'fail@row,col', 'stall@row,col[:seconds]' or 'kill@row,col[:pulses]'"
+)
 
 
 class InjectedFault(ReproError):
@@ -310,3 +341,103 @@ class _FaultySolver:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+@dataclass(frozen=True)
+class TileFault:
+    """One planned tile fault.
+
+    * ``fail`` raises on every attempt.
+    * ``stall`` pulses a few heartbeats, then makes no progress for
+      ``arg`` seconds (default 3600, effectively forever) and raises,
+      so the liveness watchdog is testable without a real hang.
+    * ``kill`` pulses ``arg`` heartbeats (default 3), then SIGKILLs its
+      own process mid-solve, on the tile's first overall attempt only,
+      so a requeued attempt recovers deterministically.
+    """
+
+    kind: str
+    arg: Union[int, float, None] = None
+
+
+def parse_tile_faults(spec: str) -> Dict[Tuple[int, int], TileFault]:
+    """Parse a ``REPRO_FULLCHIP_FAULTS`` value into a per-tile plan.
+
+    Raises:
+        FullChipError: on a malformed entry, naming the variable and
+            the entry: an unknown kind, a bad index or argument, an
+            argument on ``fail``, or a tile listed twice.
+    """
+    plan: Dict[Tuple[int, int], TileFault] = {}
+    for entry in (part.strip() for part in spec.split(";")):
+        if not entry:
+            continue
+        kind, _, target = entry.partition("@")
+        index_part, _, arg_part = target.partition(":")
+        try:
+            if kind not in _TILE_FAULT_DEFAULTS:
+                raise ValueError(f"unknown fault kind {kind!r}")
+            row, col = (int(v) for v in index_part.split(","))
+            if not arg_part:
+                arg = _TILE_FAULT_DEFAULTS[kind]
+            elif kind == "fail":
+                raise ValueError("fail takes no argument")
+            else:
+                arg = float(arg_part) if kind == "stall" else int(arg_part)
+            if kind == "stall" and not arg > 0:
+                raise ValueError("seconds must be positive")
+            if kind == "kill" and arg < 0:
+                raise ValueError("pulses must be >= 0")
+            if (row, col) in plan:
+                raise ValueError(f"tile {(row, col)} is already listed")
+        except ValueError as exc:
+            raise FullChipError(
+                f"bad {TILE_FAULTS_ENV} entry {entry!r}: {exc}; "
+                f"entries look like {_TILE_FAULT_GRAMMAR}"
+            ) from exc
+        plan[(row, col)] = TileFault(kind, arg)
+    return plan
+
+
+def _pulse(heartbeat, pulses: int) -> None:
+    for iteration in range(pulses):
+        if heartbeat is not None:
+            heartbeat.beat(phase="optimize", iteration=iteration, force=True)
+        time.sleep(0.01)
+
+
+def fire_tile_fault(
+    index: Tuple[int, int], attempt: int, heartbeat=None
+) -> None:
+    """Fire the planned fault of tile ``index``, if any (runs in the worker).
+
+    ``attempt`` is the tile's overall attempt number (1 on the first
+    solve, requeued queue generations continue the count); ``heartbeat``
+    is the worker's heartbeat writer, pulsed before a stall or a kill so
+    the run has seen the tile alive and working.
+    """
+    spec = os.environ.get(TILE_FAULTS_ENV, "")
+    if not spec:
+        return
+    fault = parse_tile_faults(spec).get(index)
+    if fault is None:
+        return
+    if fault.kind == "fail":
+        raise FullChipError(f"injected failure for tile {index}")
+    if fault.kind == "kill":
+        if attempt != 1:
+            return
+        _pulse(heartbeat, fault.arg)
+        logger.warning("injected kill for tile %s (SIGKILL pid %d)", index, os.getpid())
+        os.kill(os.getpid(), signal.SIGKILL)
+        return
+    # A stall: progress first (arming the watchdog's per-tile track),
+    # then silence — the signature of a hung worker — then a failure.
+    _pulse(heartbeat, 3)
+    logger.warning("injected stall for tile %s (%.1fs)", index, fault.arg)
+    deadline = time.monotonic() + fault.arg
+    while time.monotonic() < deadline:
+        time.sleep(0.05)
+    raise FullChipError(
+        f"injected stall for tile {index} expired after {fault.arg:.1f}s"
+    )

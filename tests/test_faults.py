@@ -1,8 +1,9 @@
 """Fault-injection + harness-isolation tests.
 
-Covers the injector's own determinism and the harness acceptance
-criterion: a 3-solver x 3-layout batch with one solver raising on one
-layout still returns the other 8 cells and renders a table.
+Covers the injector's own determinism, the full-chip tile fault plan
+(``REPRO_FULLCHIP_FAULTS``), and the harness acceptance criterion: a
+3-solver x 3-layout batch with one solver raising on one layout still
+returns the other 8 cells and renders a table.
 """
 
 import csv
@@ -12,10 +13,18 @@ import numpy as np
 import pytest
 
 from repro.baselines import ModelBasedOPC, RuleBasedOPC
-from repro.errors import ReproError
+from repro.errors import FullChipError, ReproError
 from repro.harness import CellStatus, run_experiment
 from repro.obs import Instrumentation
-from repro.testing.faults import FaultInjector, FaultRecord, InjectedFault
+from repro.testing.faults import (
+    TILE_FAULTS_ENV,
+    FaultInjector,
+    FaultRecord,
+    InjectedFault,
+    TileFault,
+    fire_tile_fault,
+    parse_tile_faults,
+)
 from repro.workloads.iccad2013 import load_benchmark
 
 
@@ -98,6 +107,83 @@ class TestInjectorUnits:
             factory().solve(L("B2"))
         # One-shot (times=1): the retry succeeds.
         assert factory().solve(L("B2")) == "solved B2"
+
+
+class TestTileFaultPlan:
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            pytest.param("", {}, id="empty"),
+            pytest.param(" ; ", {}, id="blank-entries"),
+            pytest.param("fail@0,1", {(0, 1): TileFault("fail")}, id="fail"),
+            pytest.param(
+                "stall@0,1; stall@1,0:2.5",
+                {(0, 1): TileFault("stall", 3600.0), (1, 0): TileFault("stall", 2.5)},
+                id="stall-default-and-seconds",
+            ),
+            pytest.param("kill@0,1", {(0, 1): TileFault("kill", 3)}, id="kill-default"),
+            pytest.param(
+                "kill@1,2:5; kill@0,0:1",
+                {(1, 2): TileFault("kill", 5), (0, 0): TileFault("kill", 1)},
+                id="kill-pulses",
+            ),
+            pytest.param("kill@0,1:0", {(0, 1): TileFault("kill", 0)}, id="kill-zero-pulses"),
+            pytest.param(
+                "fail@0,0;stall@0,1:4;kill@1,0:2",
+                {
+                    (0, 0): TileFault("fail"),
+                    (0, 1): TileFault("stall", 4.0),
+                    (1, 0): TileFault("kill", 2),
+                },
+                id="mixed-kinds",
+            ),
+            # Malformed: the error names the variable and the (last) entry.
+            pytest.param("fail@a,b", None, id="fail-bad-index"),
+            pytest.param("fail@0,1:3", None, id="fail-with-arg"),
+            pytest.param("stall@0", None, id="stall-no-col"),
+            pytest.param("stall@a,b", None, id="stall-bad-index"),
+            pytest.param("stall@0,1:zap", None, id="stall-bad-seconds"),
+            pytest.param("stall@0,1:-2", None, id="stall-negative-seconds"),
+            pytest.param("stall@0,1:0", None, id="stall-zero-seconds"),
+            pytest.param("kill@1", None, id="kill-no-col"),
+            pytest.param("kill@a,b", None, id="kill-bad-index"),
+            pytest.param("kill@0,1:x", None, id="kill-bad-pulses"),
+            pytest.param("kill@0,1:-2", None, id="kill-negative-pulses"),
+            pytest.param("kill@0,1:2.5", None, id="kill-fractional-pulses"),
+            pytest.param("0,1", None, id="no-kind"),
+            pytest.param("boom@0,1", None, id="unknown-kind"),
+            pytest.param("fail@0,1; kill@0,1", None, id="tile-listed-twice"),
+        ],
+    )
+    def test_parse(self, spec, expected):
+        if expected is not None:
+            assert parse_tile_faults(spec) == expected
+            return
+        with pytest.raises(FullChipError) as exc:
+            parse_tile_faults(spec)
+        assert TILE_FAULTS_ENV in str(exc.value)
+        assert repr(spec.split(";")[-1].strip()) in str(exc.value)
+
+    def test_fire_reads_the_environment(self, monkeypatch):
+        class Beats:
+            def __init__(self):
+                self.iterations = []
+
+            def beat(self, phase, iteration, force):
+                self.iterations.append(iteration)
+
+        monkeypatch.setenv(TILE_FAULTS_ENV, "fail@0,0; stall@0,1:0.05; kill@1,1")
+        fire_tile_fault((1, 0), attempt=1)  # not planned: no-op
+        fire_tile_fault((1, 1), attempt=2)  # kills fire on attempt 1 only
+        with pytest.raises(FullChipError, match="injected failure"):
+            fire_tile_fault((0, 0), attempt=2)
+        beats = Beats()
+        with pytest.raises(FullChipError, match="injected stall"):
+            fire_tile_fault((0, 1), attempt=1, heartbeat=beats)
+        assert beats.iterations == [0, 1, 2]
+        monkeypatch.setenv(TILE_FAULTS_ENV, "fail@0,0; bogus")
+        with pytest.raises(FullChipError, match=TILE_FAULTS_ENV):
+            fire_tile_fault((1, 0), attempt=1)
 
 
 @pytest.fixture(scope="module")

@@ -21,9 +21,8 @@ from repro.config import (
     ProcessConfig,
     ResistConfig,
 )
-from repro.errors import FullChipError
+from repro.errors import FullChipError, OpticsError
 from repro.fullchip import (
-    FAIL_TILES_ENV,
     AmbitModel,
     FullChipConfig,
     FullChipEngine,
@@ -39,6 +38,7 @@ from repro.fullchip.stitch import build_seam_report, seam_lines
 from repro.geometry.rect import Rect
 from repro.geometry.raster import rasterize_layout
 from repro.harness import CellStatus
+from repro.testing.faults import TILE_FAULTS_ENV
 from repro.workloads.generator import synthetic_canvas
 
 PIXEL_NM = 16.0
@@ -285,6 +285,12 @@ class TestScheduler:
             TileJob(tile=tile, layout=window, litho=fc_litho, max_retries=-1)
         with pytest.raises(FullChipError):
             TileJob(tile=tile, layout=window, litho=fc_litho, timeout_s=0.0)
+        good = TileJob(
+            tile=tile, layout=window, litho=fc_litho, backend="numpy:float64"
+        )
+        assert good.backend == "numpy"
+        with pytest.raises(OpticsError):
+            TileJob(tile=tile, layout=window, litho=fc_litho, backend="bogus")
 
     def test_empty_tile_short_circuits(self, fc_litho):
         plan = build_tile_plan(Rect(0, 0, 2048, 2048), 1024.0, 192.0, PIXEL_NM)
@@ -358,7 +364,7 @@ class TestScheduler:
         assert all(w is not None and np.array_equal(w, region) for w in weights)
 
     def test_injected_failure_keep_going(self, fc_litho, monkeypatch):
-        monkeypatch.setenv(FAIL_TILES_ENV, "0,1")
+        monkeypatch.setenv(TILE_FAULTS_ENV, "fail@0,1")
         plan = build_tile_plan(Rect(0, 0, 2048, 1024), 1024.0, 192.0, PIXEL_NM)
         layout = synthetic_canvas(2048.0, 1024.0, seed=2)
         jobs = [
@@ -378,7 +384,7 @@ class TestScheduler:
         assert by_index[(0, 0)].ok
 
     def test_injected_failure_raises_without_keep_going(self, fc_litho, monkeypatch):
-        monkeypatch.setenv(FAIL_TILES_ENV, "0,0")
+        monkeypatch.setenv(TILE_FAULTS_ENV, "fail@0,0")
         plan = build_tile_plan(Rect(0, 0, 1024, 1024), 1024.0, 192.0, PIXEL_NM)
         layout = synthetic_canvas(1024.0, 1024.0, seed=2)
         jobs = [
@@ -477,7 +483,7 @@ class TestEngine:
         assert np.array_equal(resumed.mask, result.mask)
 
     def test_failed_tile_falls_back_to_target(self, fc_litho, monkeypatch):
-        monkeypatch.setenv(FAIL_TILES_ENV, "1,1")
+        monkeypatch.setenv(TILE_FAULTS_ENV, "fail@1,1")
         layout = synthetic_canvas(2048.0, 2048.0, seed=5)
         engine = FullChipEngine(
             fc_litho,

@@ -1,7 +1,7 @@
 """Live monitoring: heartbeats, liveness watchdog, status feed, watch CLI.
 
 The load-bearing acceptance fixture runs a real 2-worker full-chip
-solve with one tile forced to stall via ``REPRO_FULLCHIP_STALL_TILES``
+solve with one tile forced to stall via ``REPRO_FULLCHIP_FAULTS``
 and checks the whole live pipeline end to end: the watchdog raises a
 ``worker_stalled`` event while the run is in flight, ``status.json``'s
 final tile states match the returned :class:`TileResult`s exactly,
@@ -26,9 +26,8 @@ from repro.config import (
     ProcessConfig,
     ResistConfig,
 )
-from repro.errors import FullChipError, ReproError
+from repro.errors import ReproError
 from repro.fullchip import FullChipConfig, FullChipEngine
-from repro.fullchip.scheduler import STALL_TILES_ENV, parse_stall_spec
 from repro.obs import NULL_HEARTBEAT, Instrumentation
 from repro.obs.live import (
     HEARTBEAT_DIRNAME,
@@ -52,6 +51,7 @@ from repro.obs.resources import (
     summarize_resources,
 )
 from repro.obs.watch import collect_snapshot, render_snapshot, watch_exit_code
+from repro.testing.faults import TILE_FAULTS_ENV
 from repro.workloads.generator import synthetic_canvas
 
 PIXEL_NM = 16.0
@@ -98,15 +98,15 @@ def stall_run(tmp_path_factory):
         ),
         obs=obs,
     )
-    saved = os.environ.get(STALL_TILES_ENV)
-    os.environ[STALL_TILES_ENV] = f"{STALLED[0]},{STALLED[1]}:4"
+    saved = os.environ.get(TILE_FAULTS_ENV)
+    os.environ[TILE_FAULTS_ENV] = f"stall@{STALLED[0]},{STALLED[1]}:4"
     try:
         result = engine.solve(synthetic_canvas(2048.0, 2048.0, seed=5))
     finally:
         if saved is None:
-            os.environ.pop(STALL_TILES_ENV, None)
+            os.environ.pop(TILE_FAULTS_ENV, None)
         else:
-            os.environ[STALL_TILES_ENV] = saved
+            os.environ[TILE_FAULTS_ENV] = saved
     return run_dir, obs, events, result
 
 
@@ -440,18 +440,6 @@ class TestWatchSnapshot:
         assert watch_exit_code(
             {"state": "done", "tile_states": [{"state": "timeout"}]}
         ) == 3
-
-
-class TestStallSpec:
-    def test_parses_tiles_and_durations(self):
-        spec = parse_stall_spec("0,1; 1,0:2.5")
-        assert spec[(0, 1)] == 3600.0  # default hold
-        assert spec[(1, 0)] == 2.5
-
-    def test_rejects_malformed_entries(self):
-        for bad in ("0", "a,b", "0,1:zap", "0,1:-2", "0,1:0"):
-            with pytest.raises(FullChipError):
-                parse_stall_spec(bad)
 
 
 class TestResourceSampler:

@@ -27,7 +27,6 @@ from repro.fullchip.queue import (
     _parse_entry_name,
     load_queue_state,
 )
-from repro.fullchip.scheduler import parse_kill_spec
 
 
 class Clock:
@@ -546,19 +545,6 @@ class TestHistoryAndState:
         snapshot = collect_snapshot(run_dir)
         assert snapshot["state"] == "failed"  # drained with a failure
         assert watch_exit_code(snapshot) == 3
-
-
-class TestKillSpec:
-    def test_parse_variants(self):
-        assert parse_kill_spec("0,1") == {(0, 1): 3}
-        assert parse_kill_spec("1,2:5; 0,0:1") == {(1, 2): 5, (0, 0): 1}
-        assert parse_kill_spec("") == {}
-        assert parse_kill_spec(" ; ") == {}
-
-    def test_malformed_rejected(self):
-        for bad in ("1", "a,b", "0,1:x", "0,1:-2"):
-            with pytest.raises(FullChipError):
-                parse_kill_spec(bad)
 
 
 class TestWatchdogAttemptRearm:

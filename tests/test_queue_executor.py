@@ -2,7 +2,7 @@
 
 The load-bearing acceptance fixture is ``kill_run``: a real 2-worker
 queue-executor full-chip solve with one worker SIGKILLed mid-solve via
-``REPRO_FULLCHIP_KILL_TILES``.  The run must still complete every
+``REPRO_FULLCHIP_FAULTS``.  The run must still complete every
 tile, the recovered tile's stitched mask must equal an uninterrupted
 run's bit-for-bit, and exactly one ``job_requeued`` event must latch —
 the whole durability story end to end.  The cheaper tests drive
@@ -28,7 +28,6 @@ from repro.errors import FullChipError
 from repro.fullchip import (
     FullChipConfig,
     FullChipEngine,
-    KILL_TILES_ENV,
     PoolExecutor,
     QueueWorkerExecutor,
     SerialExecutor,
@@ -43,6 +42,7 @@ from repro.fullchip import (
 from repro.fullchip.queue import QUEUE_DIRNAME, QueueConfig
 from repro.geometry.rect import Rect
 from repro.obs import Instrumentation
+from repro.testing.faults import TILE_FAULTS_ENV
 from repro.workloads.generator import synthetic_canvas
 
 PIXEL_NM = 16.0
@@ -287,15 +287,15 @@ def kill_run(tmp_path_factory):
         ),
         obs=obs,
     )
-    saved = os.environ.get(KILL_TILES_ENV)
-    os.environ[KILL_TILES_ENV] = f"{KILLED[0]},{KILLED[1]}:2"
+    saved = os.environ.get(TILE_FAULTS_ENV)
+    os.environ[TILE_FAULTS_ENV] = f"kill@{KILLED[0]},{KILLED[1]}:2"
     try:
         result = engine.solve(layout)
     finally:
         if saved is None:
-            os.environ.pop(KILL_TILES_ENV, None)
+            os.environ.pop(TILE_FAULTS_ENV, None)
         else:
-            os.environ[KILL_TILES_ENV] = saved
+            os.environ[TILE_FAULTS_ENV] = saved
     return run_dir, obs, events, result, reference
 
 
