@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -40,6 +41,7 @@ from ..config import LithoConfig, OptimizerConfig
 from ..errors import (
     FullChipCancelled,
     JobNotFoundError,
+    OpticsError,
     RateLimitedError,
     ReproError,
     ServiceError,
@@ -52,6 +54,7 @@ from ..obs.trace import new_trace_id
 from ..utils.hashing import canonical_hash
 from ..utils.io import write_json_atomic
 from ..workloads.spec import load_workload, validate_workload_spec
+from ..xp import validate_backend_spec
 from .cache import ResultCache, cache_key_for
 from .ratelimit import RateLimitConfig, TenantLimiter
 
@@ -95,14 +98,28 @@ _PAYLOAD_DEFAULTS: Dict[str, object] = {
 }
 
 
+def _finite_number(name: str, value: object) -> float:
+    """``value`` as a float if it is a finite number and not a bool."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ServiceError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def normalize_payload(payload: object) -> Dict[str, object]:
     """Validate a submission body into the canonical job payload.
 
-    Unknown keys, malformed workload specs, file-path layouts, and
-    out-of-range recipe knobs all raise
-    :class:`~repro.errors.ServiceError` here — eagerly, at submission
-    time — so the HTTP layer can answer 400 instead of a worker
-    crashing mid-run.
+    Unknown keys, malformed workload specs, file-path layouts, values
+    of the wrong JSON type, unknown backend specs, and out-of-range
+    recipe knobs all raise :class:`~repro.errors.ServiceError` here —
+    eagerly, at submission time — so the HTTP layer can answer 400
+    instead of a worker crashing mid-run.  Values are checked, never
+    coerced: ``"false"`` is not a boolean and ``2.7`` is not a worker
+    count.  The backend spec is canonicalized, so equivalent spellings
+    share one cache key.
     """
     if not isinstance(payload, dict):
         raise ServiceError(f"job payload must be a JSON object, got {type(payload).__name__}")
@@ -135,23 +152,26 @@ def normalize_payload(payload: object) -> Dict[str, object]:
         raise ServiceError(
             f"executor must be one of {_EXECUTORS}, got {normalized['executor']!r}"
         )
-    try:
-        normalized["tile_nm"] = float(normalized["tile_nm"])
-        if normalized["halo_nm"] is not None:
-            normalized["halo_nm"] = float(normalized["halo_nm"])
-        normalized["workers"] = int(normalized["workers"])
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(f"bad numeric recipe field: {exc}") from exc
+    normalized["tile_nm"] = _finite_number("tile_nm", normalized["tile_nm"])
     if normalized["tile_nm"] <= 0:
         raise ServiceError(f"tile_nm must be > 0, got {normalized['tile_nm']}")
-    if normalized["halo_nm"] is not None and normalized["halo_nm"] < 0:
-        raise ServiceError(f"halo_nm must be >= 0, got {normalized['halo_nm']}")
-    if normalized["workers"] < 1:
-        raise ServiceError(f"workers must be >= 1, got {normalized['workers']}")
-    normalized["keep_going"] = bool(normalized["keep_going"])
-    normalized["use_sraf"] = bool(normalized["use_sraf"])
+    if normalized["halo_nm"] is not None:
+        normalized["halo_nm"] = _finite_number("halo_nm", normalized["halo_nm"])
+        if normalized["halo_nm"] < 0:
+            raise ServiceError(f"halo_nm must be >= 0, got {normalized['halo_nm']}")
+    workers = normalized["workers"]
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise ServiceError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ServiceError(f"workers must be >= 1, got {workers}")
+    for key in ("keep_going", "use_sraf"):
+        if not isinstance(normalized[key], bool):
+            raise ServiceError(f"{key} must be true or false, got {normalized[key]!r}")
     if normalized["backend"] is not None:
-        normalized["backend"] = str(normalized["backend"])
+        try:
+            normalized["backend"] = validate_backend_spec(normalized["backend"])
+        except OpticsError as exc:
+            raise ServiceError(f"bad backend: {exc}") from exc
     return normalized
 
 

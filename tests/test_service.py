@@ -5,6 +5,7 @@ grid, 4 kernels, 3 iterations) so a full submit→solve→artifact round
 trip costs well under a second of solver time.
 """
 
+import importlib.util
 import json
 import threading
 import time
@@ -71,6 +72,27 @@ SERIAL_PAYLOAD = {
     "mode": "fast",
     "executor": "serial",
 }
+
+#: Field values the payload must refuse rather than coerce.
+MISTYPED_FIELDS = [
+    ("use_sraf", "false"),
+    ("keep_going", "no"),
+    ("workers", 2.7),
+    ("workers", True),
+    ("tile_nm", float("nan")),
+    ("tile_nm", float("inf")),
+    ("halo_nm", float("nan")),
+    ("halo_nm", float("-inf")),
+    ("backend", "bogus"),
+]
+
+
+def unimportable_backend():
+    """A backend spec that passes admission but cannot load here."""
+    for name in ("cupy", "torch"):
+        if importlib.util.find_spec(name) is None:
+            return name
+    pytest.skip("every optional array backend is importable here")
 
 
 # -- admission units ---------------------------------------------------------
@@ -166,6 +188,12 @@ class TestCacheKey:
         other = normalize_payload({**SERIAL_PAYLOAD, **change})
         assert cache_key_for(base, "1.0") != cache_key_for(other, "1.0")
 
+    def test_backend_spellings_share_one_key(self):
+        short = normalize_payload({**SERIAL_PAYLOAD, "backend": "numpy"})
+        spelled = normalize_payload({**SERIAL_PAYLOAD, "backend": "numpy:float64"})
+        assert short["backend"] == spelled["backend"] == "numpy"
+        assert cache_key_for(short, "1.0") == cache_key_for(spelled, "1.0")
+
     def test_version_and_fingerprint_pin_the_key(self):
         base = normalize_payload(dict(SERIAL_PAYLOAD))
         assert cache_key_for(base, "1.0") != cache_key_for(base, "2.0")
@@ -199,6 +227,7 @@ class TestNormalizePayload:
             {"layout": "B1", "tile_nm": "wide"},
             {"layout": "B1", "workers": 0},
             {"layout": "B1", "halo_nm": -1.0},
+            *({"layout": "B1", key: value} for key, value in MISTYPED_FIELDS),
         ],
     )
     def test_rejects_eagerly(self, payload):
@@ -207,6 +236,11 @@ class TestNormalizePayload:
         with pytest.raises(ReproError) as exc:
             normalize_payload(payload)
         assert not isinstance(exc.value, RateLimitedError)
+
+    @pytest.mark.parametrize("key, value", MISTYPED_FIELDS)
+    def test_mistyped_field_is_named(self, key, value):
+        with pytest.raises(ServiceError, match=key):
+            normalize_payload({"layout": "B1", key: value})
 
 
 # -- end-to-end: solve, cache, cancel ---------------------------------------
@@ -287,9 +321,10 @@ class TestServiceEndToEnd:
         assert "status" in kinds  # and at least one status snapshot
 
     def test_failed_job_reports_error_and_is_not_cached(self, service):
-        # An unresolvable backend blows up inside the runner thread: the
-        # fault must surface as a FAILED record, not a hung job.
-        job = service.submit({**SERIAL_PAYLOAD, "backend": "not-a-backend"})
+        # A valid spec naming a library that is not installed passes
+        # admission and blows up inside the runner thread: the fault
+        # must surface as a FAILED record, not a hung job.
+        job = service.submit({**SERIAL_PAYLOAD, "backend": unimportable_backend()})
         job = service.wait(job.id, timeout_s=60)
         assert job.state == "FAILED"
         assert job.error and "backend" in job.error
@@ -441,6 +476,9 @@ class TestHttpApi:
         client = ServiceClient(server.url, tenant="beta")
         with pytest.raises(ServiceError, match="400"):
             client.submit({"layout": "synth:balloonxcat"})
+        # json.dumps writes NaN, and the server's json.loads accepts it.
+        with pytest.raises(ServiceError, match="400.*tile_nm"):
+            client.submit({"layout": "B1", "tile_nm": float("nan")})
         with pytest.raises(JobNotFoundError):
             client.job("nope")
         with pytest.raises(JobNotFoundError):
