@@ -57,7 +57,6 @@ from ..obs.distributed import (
 )
 from ..opc.checkpoint import CheckpointConfig, latest_checkpoint
 from ..opc.mosaic import MosaicExact, MosaicFast, MosaicResult, MosaicSolver
-from ..testing.faults import fire_tile_fault
 from ..xp import validate_backend_spec
 from .ambit import DEFAULT_ENERGY_TOL, DEFAULT_PROBE_EXTENT_NM, ambit_model_for
 from .tiling import TileSpec
@@ -255,6 +254,10 @@ def _solve_once(
     attempt: int = 1,
 ) -> MosaicResult:
     """One solve attempt on the window simulator (runs in the worker)."""
+    # Imported here: processes that never solve a tile (the service
+    # front, the CLI's other verbs) skip loading the testing package.
+    from ..testing.faults import fire_tile_fault
+
     fire_tile_fault(
         job.tile.index, attempt, obs.heartbeat if obs is not None else None
     )
