@@ -496,8 +496,8 @@ class QueueWorkerExecutor(TileExecutor):
     def run(
         self, jobs: Sequence[TileJob], ctx: ExecutionContext
     ) -> Dict[Tuple[int, int], TileResult]:
-        # Resume semantics ride on queue adoption.
         queue_jobs = {job.tile.name: (job.tile.index, job) for job in jobs}
+        # Resume semantics ride on queue adoption.
         adopt = all(job.resume for job in jobs) and bool(jobs)
         trace_id = next(
             (

@@ -3,20 +3,17 @@
 Tests (and the CI fault-injection lane) use this package to exercise
 the recovery, checkpoint, and harness-isolation paths end-to-end
 instead of trusting them on faith.  Production code imports one hook
-from it: the full-chip tile worker calls :func:`fire_tile_fault` before
-each solve attempt, which does nothing unless ``REPRO_FULLCHIP_FAULTS``
-plans a fault for that tile.
+from it: the full-chip tile worker calls
+:func:`~repro.testing.faults.fire_tile_fault` before each solve attempt,
+which does nothing unless ``REPRO_FULLCHIP_FAULTS`` plans a fault for
+that tile.
 """
 
 from .faults import (
-    TILE_FAULTS_ENV,
     FaultInjector,
     FaultRecord,
     FaultyObjective,
     FaultySolverFactory,
-    TileFault,
-    fire_tile_fault,
-    parse_tile_faults,
 )
 
 __all__ = [
@@ -24,8 +21,4 @@ __all__ = [
     "FaultRecord",
     "FaultyObjective",
     "FaultySolverFactory",
-    "TILE_FAULTS_ENV",
-    "TileFault",
-    "fire_tile_fault",
-    "parse_tile_faults",
 ]
