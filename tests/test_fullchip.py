@@ -21,7 +21,7 @@ from repro.config import (
     ProcessConfig,
     ResistConfig,
 )
-from repro.errors import FullChipError, OpticsError
+from repro.errors import FullChipError
 from repro.fullchip import (
     AmbitModel,
     FullChipConfig,
@@ -285,12 +285,6 @@ class TestScheduler:
             TileJob(tile=tile, layout=window, litho=fc_litho, max_retries=-1)
         with pytest.raises(FullChipError):
             TileJob(tile=tile, layout=window, litho=fc_litho, timeout_s=0.0)
-        good = TileJob(
-            tile=tile, layout=window, litho=fc_litho, backend="numpy:float64"
-        )
-        assert good.backend == "numpy"
-        with pytest.raises(OpticsError):
-            TileJob(tile=tile, layout=window, litho=fc_litho, backend="bogus")
 
     def test_empty_tile_short_circuits(self, fc_litho):
         plan = build_tile_plan(Rect(0, 0, 2048, 2048), 1024.0, 192.0, PIXEL_NM)

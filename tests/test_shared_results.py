@@ -1,39 +1,21 @@
-"""Shared-memory tile-result transport: equality, accounting, and failure.
+"""Tile-job backend-spec validation.
 
-The pool no longer pickles solved window masks through the result pipe:
-workers park the mask in a ``multiprocessing.shared_memory`` segment and
-send a ~100-byte :class:`~repro.fullchip.scheduler.SharedMaskRef`
-instead (``share_result=True``).  These tests pin three properties:
-
-* the masks coming back through shared memory are **identical** to the
-  pickling path's, tile for tile;
-* the transport is **observable** — ``fullchip_result_bytes_shared`` /
-  ``fullchip_result_bytes_pickled`` counters prove which channel the
-  bytes crossed;
-* the failure modes are graceful: a lost segment fails only its tile,
-  and export failure falls back to pickling rather than losing a solve.
+This module once tested the pool's shared-memory tile-result transport.
+That transport is gone: pool workers return the solved mask inside the
+pickled :class:`~repro.fullchip.scheduler.TileResult`, and the serial ==
+pool == queue mask pin lives in ``tests/test_queue_executor.py``.  The
+job-validation check below outlived the transport and keeps its id here.
 """
 
-import numpy as np
 import pytest
 
-from repro.config import GridSpec, LithoConfig, OpticsConfig, OptimizerConfig
+from repro.config import GridSpec, LithoConfig, OpticsConfig
 from repro.errors import OpticsError
-from repro.fullchip import TileJob, build_tile_plan, run_tile_jobs
-from repro.fullchip.scheduler import (
-    SharedMaskRef,
-    TileResult,
-    absorb_shared_mask,
-    export_shared_mask,
-    solve_tile_job,
-)
+from repro.fullchip import TileJob, build_tile_plan
 from repro.geometry.rect import Rect
-from repro.harness import CellStatus
-from repro.obs import Instrumentation
 from repro.workloads.generator import synthetic_canvas
 
 PIXEL_NM = 16.0
-PROBE_NM = 1024.0
 
 
 @pytest.fixture(scope="module")
@@ -42,85 +24,6 @@ def fc_litho() -> LithoConfig:
         grid=GridSpec(shape=(64, 64), pixel_nm=PIXEL_NM),
         optics=OpticsConfig(num_kernels=4),
     )
-
-
-def _jobs(fc_litho, share_result):
-    plan = build_tile_plan(Rect(0, 0, 2048, 1024), 1024.0, 192.0, PIXEL_NM)
-    layout = synthetic_canvas(2048.0, 1024.0, seed=2)
-    return [
-        TileJob(
-            tile=tile,
-            layout=tile.clip_layout(layout),
-            litho=fc_litho,
-            optimizer=OptimizerConfig(max_iterations=3, use_jump=False),
-            probe_extent_nm=PROBE_NM,
-            share_result=share_result,
-        )
-        for tile in plan
-    ]
-
-
-class TestExportAbsorbRoundTrip:
-    def _result(self, mask):
-        return TileResult(
-            index=(0, 0),
-            status=CellStatus(status="solved", attempts=1, runtime_s=0.1),
-            mask=mask,
-        )
-
-    def test_round_trip_is_lossless(self, rng):
-        mask = rng.random((48, 48))
-        exported = export_shared_mask(self._result(mask.copy()))
-        assert exported.mask is None
-        assert exported.mask_ref is not None
-        assert exported.mask_ref.nbytes == mask.nbytes
-        obs = Instrumentation.collecting()
-        absorbed = absorb_shared_mask(exported, obs)
-        assert absorbed.mask_ref is None
-        np.testing.assert_array_equal(absorbed.mask, mask)
-        assert (
-            obs.metrics.counter("fullchip_result_bytes_shared").value == mask.nbytes
-        )
-        assert obs.metrics.counter("fullchip_result_bytes_pickled").value == 0
-
-    def test_maskless_results_pass_through(self):
-        failed = TileResult(
-            index=(0, 0),
-            status=CellStatus(status="failed", attempts=1, runtime_s=0.1,
-                              error="boom"),
-        )
-        assert export_shared_mask(failed) is failed
-        assert failed.mask_ref is None
-        obs = Instrumentation.collecting()
-        absorb_shared_mask(failed, obs)
-        assert obs.metrics.counter("fullchip_result_bytes_shared").value == 0
-        assert obs.metrics.counter("fullchip_result_bytes_pickled").value == 0
-
-    def test_pickled_mask_counted_on_absorb(self, rng):
-        mask = rng.random((16, 16))
-        obs = Instrumentation.collecting()
-        absorbed = absorb_shared_mask(self._result(mask), obs)
-        assert absorbed.mask is mask
-        assert (
-            obs.metrics.counter("fullchip_result_bytes_pickled").value == mask.nbytes
-        )
-        assert obs.metrics.counter("fullchip_result_bytes_shared").value == 0
-
-    def test_lost_segment_fails_only_the_tile(self):
-        orphan = TileResult(
-            index=(1, 1),
-            status=CellStatus(status="solved", attempts=1, runtime_s=0.1),
-            mask=None,
-            mask_ref=SharedMaskRef(
-                name="repro_no_such_segment", shape=(8, 8), dtype="float64",
-                nbytes=512,
-            ),
-        )
-        absorbed = absorb_shared_mask(orphan, Instrumentation.collecting())
-        assert not absorbed.ok
-        assert absorbed.mask is None
-        assert absorbed.mask_ref is None
-        assert "repro_no_such_segment" in absorbed.status.error
 
 
 class TestJobValidation:
@@ -134,39 +37,3 @@ class TestJobValidation:
         assert good.backend == "numpy"
         with pytest.raises(OpticsError):
             TileJob(tile=tile, layout=window, litho=fc_litho, backend="bogus")
-
-
-class TestSharedResultTransport:
-    def test_inline_jobs_share_and_match(self, fc_litho):
-        """workers=1: export+absorb run in-process; masks stay identical."""
-        obs = Instrumentation.collecting()
-        shared = run_tile_jobs(_jobs(fc_litho, True), workers=1, obs=obs)
-        plain = run_tile_jobs(_jobs(fc_litho, False), workers=1)
-        assert all(r.ok for r in shared)
-        for a, b in zip(shared, plain):
-            assert a.mask_ref is None
-            np.testing.assert_array_equal(a.mask, b.mask)
-        assert obs.metrics.counter("fullchip_result_bytes_shared").value > 0
-
-    @pytest.mark.slow
-    def test_pool_stops_pickling_masks(self, fc_litho):
-        """workers=2: masks cross via shared memory only, identically."""
-        obs_shared = Instrumentation.collecting()
-        shared = run_tile_jobs(_jobs(fc_litho, True), workers=2, obs=obs_shared)
-        obs_plain = Instrumentation.collecting()
-        plain = run_tile_jobs(_jobs(fc_litho, False), workers=2, obs=obs_plain)
-
-        assert all(r.ok for r in shared) and all(r.ok for r in plain)
-        total_bytes = sum(r.mask.nbytes for r in shared)
-        metrics = obs_shared.metrics
-        assert metrics.counter("fullchip_result_bytes_shared").value == total_bytes
-        assert metrics.counter("fullchip_result_bytes_pickled").value == 0
-        # The pickling run accounts the same bytes on the other channel.
-        assert (
-            obs_plain.metrics.counter("fullchip_result_bytes_pickled").value
-            == total_bytes
-        )
-        assert obs_plain.metrics.counter("fullchip_result_bytes_shared").value == 0
-        for a, b in zip(shared, plain):
-            assert a.index == b.index
-            np.testing.assert_array_equal(a.mask, b.mask)
