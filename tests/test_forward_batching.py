@@ -20,9 +20,10 @@ forward gate instead.
 import numpy as np
 import pytest
 
-from repro.config import LithoConfig
+from repro.config import LithoConfig, OptimizerConfig
 from repro.errors import OpticsError
 from repro.fullchip.ambit import AmbitModel
+from repro.fullchip.engine import FullChipConfig, FullChipEngine
 from repro.litho.simulator import LithographySimulator
 from repro.obs import Instrumentation
 from repro.opc.objectives import (
@@ -39,9 +40,11 @@ from repro.optics.hopkins import (
     field_stack,
     weight_fields,
 )
-from repro.optics.kernels import common_grid_shape
+from repro.optics.kernels import SOCSKernels, common_grid_shape
+from repro.optics.tcc import FrequencySupport
 from repro.process.corners import ProcessCorner, nominal_corner
 from repro.process.pvband import pv_band, pv_band_area
+from repro.workloads.generator import synthetic_canvas
 
 AERIAL_TOL = 1e-10  # max abs diff on aerial images for float64 backends
 GRAD_RTOL = 1e-9  # gradients only reassociate floating-point sums
@@ -146,6 +149,91 @@ class TestReferencePin:
         reference = reference_gradient(pinned_sim, mask, contributions)
         scale = np.max(np.abs(reference))
         assert np.allclose(grad, reference, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
+
+
+def with_index_arrays(kernels, pixel_nm):
+    """The same kernel set with its support spelled out as index arrays.
+
+    Lists every frequency of the grid in row-major order, each with its
+    row/column index and its spatial frequency.  The weights and spectra
+    are shared with ``kernels``, so only the form of the support differs.
+    """
+    rows, cols = kernels.shape
+    fxx, fyy = np.meshgrid(
+        np.fft.fftfreq(cols, d=pixel_nm), np.fft.fftfreq(rows, d=pixel_nm)
+    )
+    support = FrequencySupport(
+        rows=np.repeat(np.arange(rows), cols),
+        cols=np.tile(np.arange(cols), rows),
+        fx=fxx.ravel(),
+        fy=fyy.ravel(),
+        shape=(rows, cols),
+        freq_step=kernels.support.freq_step,
+    )
+    return SOCSKernels(
+        support=support,
+        weights=kernels.weights,
+        spectra=kernels.spectra,
+        defocus_nm=kernels.defocus_nm,
+    )
+
+
+@pytest.fixture(scope="module")
+def index_window_sim(window_sim):
+    """``window_sim``'s window, imaged through index-array supports."""
+    simulator = window_sim.model.simulator_for(window_sim.grid.shape, backend="numpy")
+    simulator._kernel_cache = {
+        focus: with_index_arrays(window_sim.kernels_at(focus), window_sim.grid.pixel_nm)
+        for focus in window_sim.model.defocus_values_nm
+    }
+    return simulator
+
+
+class TestWindowSupportFormPin:
+    """A tile window images bit for bit alike whatever form its support takes.
+
+    Window kernels cover every frequency of their grid.  The shipped
+    kernels and the same kernels with the support given as explicit index
+    arrays must produce identical aerials, gradients and stitched masks.
+    """
+
+    def test_simulate_all_corners_bitwise(self, window_sim, index_window_sim, rng):
+        mask = random_mask(rng, window_sim.grid.shape)
+        shipped = window_sim.simulate_all_corners(mask)
+        indexed = index_window_sim.simulate_all_corners(mask)
+        for image, reference in zip(shipped, indexed):
+            assert np.array_equal(image, reference)
+
+    def test_gradient_all_corners_bitwise(self, window_sim, index_window_sim, rng):
+        mask = random_mask(rng, window_sim.grid.shape)
+        contributions = [
+            (corner, rng.standard_normal(window_sim.grid.shape))
+            for corner in window_sim.corners()
+        ]
+        shipped = window_sim.gradient_all_corners(mask, contributions)
+        indexed = index_window_sim.gradient_all_corners(mask, contributions)
+        assert np.array_equal(shipped, indexed)
+
+    def test_one_tile_stitched_mask_bitwise(self, monkeypatch):
+        litho = LithoConfig.reduced()
+        engine = FullChipEngine(
+            litho,
+            optimizer=OptimizerConfig(max_iterations=2, use_jump=False),
+            config=FullChipConfig(probe_extent_nm=1024.0, backend="numpy"),
+        )
+        layout = synthetic_canvas(1024.0, 1024.0, seed=4)
+        assert engine.plan_for(layout).num_tiles == 1
+        shipped = engine.solve(layout).mask
+
+        shipped_kernels = AmbitModel.window_kernels
+
+        def indexed_kernels(model, shape, defocus_nm=0.0):
+            kernels = shipped_kernels(model, shape, defocus_nm)
+            return with_index_arrays(kernels, model.pixel_nm)
+
+        monkeypatch.setattr(AmbitModel, "window_kernels", indexed_kernels)
+        indexed = engine.solve(layout).mask
+        assert np.array_equal(shipped, indexed)
 
 
 class TestHopkinsBatching:
