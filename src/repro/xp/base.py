@@ -193,10 +193,12 @@ class ArrayBackend:
         instance.  An id is unique only among live objects, so each
         entry keeps a weak reference to its kernel set and is served
         only to that same object, never to a later set that reuses a
-        dead one's id.
+        dead one's id.  The entry is dropped when its set dies, so the
+        cache never pins a dead set's arrays.
         """
         key = id(kernels)
-        entry = self._kernel_data.get(key)
+        table = self._kernel_data
+        entry = table.get(key)
         if entry is not None and entry[0]() is kernels:
             return entry[1]
         data = DeviceKernelData(
@@ -205,5 +207,12 @@ class ArrayBackend:
             rows=self.asarray(kernels.support.rows, "index"),
             cols=self.asarray(kernels.support.cols, "index"),
         )
-        self._kernel_data[key] = (weakref.ref(kernels), data)
+
+        def forget(ref: weakref.ref) -> None:
+            # A newer set may already hold this id; drop only our entry.
+            current = table.get(key)
+            if current is not None and current[0] is ref:
+                table.pop(key, None)
+
+        table[key] = (weakref.ref(kernels, forget), data)
         return data

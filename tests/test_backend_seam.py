@@ -20,7 +20,9 @@ Four layers, mirroring the seam's contract (``src/repro/xp/base.py``):
    is ~40x: observed float32 drift ~2.6e-7 relative vs the 1e-5 gate).
 """
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +281,14 @@ class TestAdapterConformance:
             pytest.skip("the allocator never reused a dead kernel set's id")
         spectra = backend.to_numpy(backend.kernel_data(fresh).spectra)
         assert spectra.shape == fresh.spectra.shape
+
+    def test_kernel_data_dropped_when_the_set_dies(self, backend, tiny_sim):
+        # A dead set's entry must not pin its converted arrays.
+        dead = tiny_sim.kernels_at(0.0).truncated(2)
+        data = weakref.ref(backend.kernel_data(dead))
+        del dead
+        gc.collect()
+        assert data() is None
 
     def test_kernel_data_cached_by_identity(self, backend, tiny_sim):
         kernels = tiny_sim.kernels_at(0.0)
