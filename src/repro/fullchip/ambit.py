@@ -25,10 +25,13 @@ kernel mass, so tiled and monolithic images agree to FFT rounding
 
 :class:`WindowSimulator` wraps the stencils back into a standard
 :class:`~repro.litho.simulator.LithographySimulator` by synthesizing a
-dense-support :class:`~repro.optics.kernels.SOCSKernels` per window
-shape (the stencil embedded on the window grid, transformed with one
-``fft2``), so the entire existing forward/gradient/objective stack works
-on tiles unchanged.
+:class:`~repro.optics.kernels.SOCSKernels` per window shape (the
+stencil embedded on the window grid, transformed with one ``fft2``), so
+the entire existing forward/gradient/objective stack works on tiles
+unchanged.  A truncated stencil is not band-limited, so its spectrum
+fills the whole window grid: the set lives on a *dense*
+:class:`~repro.optics.tcc.FrequencySupport`, which carries no index
+arrays and which the imaging engine addresses by reshaping.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from ..errors import FullChipError
 from ..litho.simulator import LithographySimulator
 from ..obs import Instrumentation
 from ..optics.kernels import SOCSKernels, build_socs_kernels
-from ..optics.tcc import FrequencySupport
+from ..optics.tcc import dense_frequency_support
 from ..process.corners import enumerate_corners
 
 logger = logging.getLogger(__name__)
@@ -78,22 +81,6 @@ class FocusStencils:
     @property
     def radius_px(self) -> int:
         return (self.stencils.shape[1] - 1) // 2
-
-
-def _dense_support(shape: Tuple[int, int], pixel_nm: float) -> FrequencySupport:
-    """A frequency support covering every sample of ``shape``'s FFT grid."""
-    rows, cols = shape
-    fy = np.fft.fftfreq(rows, d=pixel_nm)
-    fx = np.fft.fftfreq(cols, d=pixel_nm)
-    fxx, fyy = np.meshgrid(fx, fy)
-    return FrequencySupport(
-        rows=np.repeat(np.arange(rows), cols),
-        cols=np.tile(np.arange(cols), rows),
-        fx=fxx.ravel(),
-        fy=fyy.ravel(),
-        shape=(rows, cols),
-        freq_step=abs(fx[1] - fx[0]) if cols > 1 else abs(fy[1] - fy[0]),
-    )
 
 
 def _centered_spatial_kernels(kernels: SOCSKernels) -> np.ndarray:
@@ -242,7 +229,7 @@ class AmbitModel:
         )
 
     def window_kernels(self, shape: Tuple[int, int], defocus_nm: float = 0.0) -> SOCSKernels:
-        """The model's kernels as a dense-support SOCS set on ``shape``.
+        """The model's kernels as a SOCS set on ``shape``'s dense support.
 
         The stencil is embedded on the window grid wrapped around the
         origin and transformed with one ``fft2``; multiplying a mask
@@ -272,7 +259,7 @@ class AmbitModel:
         emb[:, (offsets % rows)[:, None], (offsets % cols)[None, :]] = stencil_set.stencils
         spectra = np.fft.fft2(emb, axes=(-2, -1)).reshape(len(stencil_set.weights), -1)
         kernels = SOCSKernels(
-            support=_dense_support((rows, cols), self.pixel_nm),
+            support=dense_frequency_support((rows, cols), self.pixel_nm),
             weights=stencil_set.weights.copy(),
             spectra=spectra,
             defocus_nm=float(defocus_nm),

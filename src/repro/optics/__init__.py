@@ -13,7 +13,13 @@ contest kernel data files are not redistributable; see DESIGN.md §3.
 
 from .pupil import pupil_values, defocus_phase
 from .source import AnnularSource, CircularSource, QuadrupoleSource, SourcePoint
-from .tcc import FrequencySupport, build_frequency_support, build_amplitude_matrix, tcc_matrix
+from .tcc import (
+    FrequencySupport,
+    build_amplitude_matrix,
+    build_frequency_support,
+    dense_frequency_support,
+    tcc_matrix,
+)
 from .kernels import SOCSKernels, build_socs_kernels, common_grid_shape
 from .hopkins import (
     ForwardCache,
@@ -36,6 +42,7 @@ __all__ = [
     "SourcePoint",
     "FrequencySupport",
     "build_frequency_support",
+    "dense_frequency_support",
     "build_amplitude_matrix",
     "tcc_matrix",
     "SOCSKernels",

@@ -20,11 +20,14 @@ inverse transform over all (focus x kernel) spectra, and
 :func:`accumulate_backprojection` folds the whole multi-corner adjoint
 into one batched forward transform plus a *single* inverse FFT (the
 per-kernel weighted sums are accumulated on the frequency support, where
-the adjoint is diagonal, before transforming back).  Because the support
-is band-limited to a small set of frequency rows, the batched transforms
-additionally prune the row pass to the touched rows — bitwise-identical
-output for the forward direction, since transforming exact zeros yields
-exact zeros.
+the adjoint is diagonal, before transforming back).  A band-limited
+support touches a small set of frequency rows, so the batched transforms
+prune the row pass to those rows — bitwise-identical output for the
+forward direction, since transforming exact zeros yields exact zeros.  A
+dense support (every grid frequency, as the full-chip window kernels
+have) has nothing to prune: its samples are the grid in row-major order,
+so :func:`_scatter` and :func:`_gather` reshape instead of indexing and
+the transforms run over the whole grid.
 
 Array backends: every entry point takes an optional ``xp``
 (:class:`~repro.xp.ArrayBackend` or spec string).  The default resolves
@@ -52,6 +55,29 @@ from .tcc import FrequencySupport
 XpArg = Union[None, str, ArrayBackend]
 
 
+def _gather(full: Any, rows: Any, cols: Any) -> Any:
+    """Support samples of ``full`` over its trailing two (grid) axes.
+
+    ``rows is None`` marks a dense support, whose samples are the grid in
+    row-major order: the gather is a reshape (a view), not an index.
+    """
+    if rows is None:
+        return full.reshape(tuple(full.shape[:-2]) + (-1,))
+    return full[..., rows, cols]
+
+
+def _scatter(full: Any, rows: Any, cols: Any, values: Any) -> None:
+    """Write support samples ``values`` into ``full``'s trailing grid axes.
+
+    The inverse of :func:`_gather`; on a dense support every grid sample
+    is written, so ``full`` need not be zeroed first.
+    """
+    if rows is None:
+        full[...] = values.reshape(tuple(full.shape))
+    else:
+        full[..., rows, cols] = values
+
+
 def field_stack(mask: np.ndarray, kernels: SOCSKernels, xp: XpArg = None) -> Any:
     """Per-kernel coherent fields E_k = M (*) h_k.
 
@@ -63,11 +89,11 @@ def field_stack(mask: np.ndarray, kernels: SOCSKernels, xp: XpArg = None) -> Any
         raise GridError(f"mask shape {tuple(mask.shape)} != kernel grid {kernels.shape}")
     kd = xp.kernel_data(kernels)
     m_hat = xp.fft2(xp.asarray(mask, "float"))
-    m_sup = m_hat[kd.rows, kd.cols]
+    m_sup = _gather(m_hat, kd.rows, kd.cols)
     fields = xp.empty((kernels.num_kernels,) + kernels.shape, "complex")
     for k in range(kernels.num_kernels):
         full = xp.zeros(kernels.shape, "complex")
-        full[kd.rows, kd.cols] = m_sup * kd.spectra[k]
+        _scatter(full, kd.rows, kd.cols, m_sup * kd.spectra[k])
         fields[k] = xp.ifft2(full)
     return fields
 
@@ -146,9 +172,11 @@ def backproject_fields(
     accum = xp.zeros(kernels.shape, "complex")
     for k in range(kernels.num_kernels):
         w_hat = xp.fft2(weighted_fields[k])
-        w_sup = w_hat[kd.rows, kd.cols] * xp.conj(kd.spectra[k])
+        # Named so numpy cannot elide it into the product and swap the
+        # operands: the (gathered, conjugate) order holds on both forms.
+        conj = xp.conj(kd.spectra[k])
         full = xp.zeros(kernels.shape, "complex")
-        full[kd.rows, kd.cols] = w_sup
+        _scatter(full, kd.rows, kd.cols, _gather(w_hat, kd.rows, kd.cols) * conj)
         accum += kd.weights[k] * xp.ifft2(full)
     return xp.to_numpy(2.0 * xp.real(accum))
 
@@ -226,10 +254,11 @@ class ForwardCache:
             )
         hit = self._gathered.get(id(support))
         if hit is None:
-            spec = self.spectrum()
-            rows = self.xp.asarray(support.rows, "index")
-            cols = self.xp.asarray(support.cols, "index")
-            hit = spec[rows, cols]
+            rows = cols = None
+            if not support.dense:
+                rows = self.xp.asarray(support.rows, "index")
+                cols = self.xp.asarray(support.cols, "index")
+            hit = _gather(self.spectrum(), rows, cols)
             self._gathered[id(support)] = hit
         else:
             self._reuses += 1
@@ -249,8 +278,11 @@ def _support_rows(
     The band-limited support typically covers a small fraction of the
     frequency rows, which lets the batched transforms prune the 1-D pass
     over the untouched (all-zero / never-read) rows.  Returns None when
-    the support spans most rows and pruning would not pay.
+    a support is dense or the supports span most rows, so pruning would
+    not pay.
     """
+    if any(s.dense for s in supports):
+        return None
     rows = np.unique(np.concatenate([s.rows for s in supports]))
     if len(rows) * 2 >= num_rows:
         return None
@@ -292,7 +324,7 @@ def batched_field_stacks(
         # Two-step view indexing (slice first, then the advanced index)
         # keeps the write portable across numpy/cupy/torch setitem rules.
         block = stacked[pos : pos + ks.num_kernels]
-        block[:, kd.rows, kd.cols] = m_sup[None, :] * kd.spectra
+        _scatter(block, kd.rows, kd.cols, m_sup[None, :] * kd.spectra)
         pos += ks.num_kernels
     rows_used = _support_rows([ks.support for ks in kernel_sets], shape[0])
     if rows_used is None:
@@ -354,34 +386,26 @@ def accumulate_backprojection(
         stacked[pos : pos + ks.num_kernels] = xp.asarray(wf, "complex")
         pos += ks.num_kernels
     rows_used = _support_rows([ks.support for _, ks in groups], shape[0])
-    accum = xp.zeros(shape, "complex")
     if rows_used is None:
         w_hat = xp.fft2(stacked)
-        pos = 0
-        for _, ks in groups:
-            h = ks.num_kernels
-            kd = xp.kernel_data(ks)
-            gathered = w_hat[pos : pos + h][:, kd.rows, kd.cols]
-            accum[kd.rows, kd.cols] += xp.einsum(
-                "k,ks->s", kd.weights, gathered * xp.conj(kd.spectra)
-            )
-            pos += h
     else:
         # Row-pruned separable forward: only the support rows of the
         # spectrum are ever gathered, so the second 1-D pass runs on
         # those rows alone.
         ru = xp.asarray(rows_used, "index")
         w_hat = xp.fft(xp.fft(stacked, axis=-2)[:, ru, :], axis=-1)
-        pos = 0
-        for _, ks in groups:
-            h = ks.num_kernels
-            kd = xp.kernel_data(ks)
-            row_idx = xp.asarray(
-                np.searchsorted(rows_used, ks.support.rows), "index"
-            )
-            gathered = w_hat[pos : pos + h][:, row_idx, kd.cols]
-            accum[kd.rows, kd.cols] += xp.einsum(
-                "k,ks->s", kd.weights, gathered * xp.conj(kd.spectra)
-            )
-            pos += h
+    accum = xp.zeros(shape, "complex")
+    pos = 0
+    for _, ks in groups:
+        h = ks.num_kernels
+        kd = xp.kernel_data(ks)
+        rows = kd.rows
+        if rows_used is not None:
+            rows = xp.asarray(np.searchsorted(rows_used, ks.support.rows), "index")
+        gathered = _gather(w_hat[pos : pos + h], rows, kd.cols)
+        # Keep the conjugate unnamed: numpy elides a >= 256 KiB temporary into
+        # the product, swapping operands, and FMA complex multiply is not commutative.
+        summed = xp.einsum("k,ks->s", kd.weights, gathered * xp.conj(kd.spectra))
+        _scatter(accum, kd.rows, kd.cols, _gather(accum, kd.rows, kd.cols) + summed)
+        pos += h
     return xp.to_numpy(2.0 * xp.real(xp.ifft2(accum)))

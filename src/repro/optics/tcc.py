@@ -14,7 +14,7 @@ eigen-decomposition (→ SOCS kernels) is obtained directly from the SVD of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,40 +26,63 @@ from .source import SourcePoint
 
 @dataclass(frozen=True)
 class FrequencySupport:
-    """Band-limited frequency samples of the image grid.
+    """Frequency samples of the image grid that a kernel set lives on.
+
+    The support takes one of two forms:
+
+    * **band-limited** (``build_frequency_support``): the samples are
+      listed as index arrays into the unshifted FFT grid together with
+      their spatial frequencies;
+    * **dense** (``dense_frequency_support``): every sample of the grid
+      in row-major order.  It carries no arrays at all; its size,
+      scatter, gather and DC index follow from ``shape``, and the
+      imaging engine reshapes instead of indexing.
 
     Attributes:
-        rows: row indices into the unshifted FFT grid.
-        cols: column indices into the unshifted FFT grid.
-        fx: spatial frequencies (1/nm) at those samples.
-        fy: spatial frequencies (1/nm) at those samples.
         shape: full FFT grid shape.
         freq_step: lattice frequency step (1/nm) along each axis.
+        rows: row indices into the unshifted FFT grid (None when dense).
+        cols: column indices into the unshifted FFT grid (None when dense).
+        fx: spatial frequencies (1/nm) at those samples (None when dense).
+        fy: spatial frequencies (1/nm) at those samples (None when dense).
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    fx: np.ndarray
-    fy: np.ndarray
     shape: Tuple[int, int]
     freq_step: float
+    rows: Optional[np.ndarray] = None
+    cols: Optional[np.ndarray] = None
+    fx: Optional[np.ndarray] = None
+    fy: Optional[np.ndarray] = None
+
+    @property
+    def dense(self) -> bool:
+        """True when the support covers every grid sample (no index arrays)."""
+        return self.rows is None
 
     @property
     def size(self) -> int:
+        if self.dense:
+            return self.shape[0] * self.shape[1]
         return len(self.rows)
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """Place per-sample values onto a full (unshifted) FFT grid."""
+        if self.dense:
+            return np.array(values, dtype=np.complex128).reshape(self.shape)
         full = np.zeros(self.shape, dtype=np.complex128)
         full[self.rows, self.cols] = values
         return full
 
     def gather(self, full: np.ndarray) -> np.ndarray:
         """Extract the support samples from a full FFT grid."""
+        if self.dense:
+            return np.array(full).reshape(-1)
         return full[self.rows, self.cols]
 
     def zero_index(self) -> int:
         """Index of the DC (f = 0) sample within the support arrays."""
+        if self.dense:
+            return 0
         hits = np.nonzero((self.rows == 0) & (self.cols == 0))[0]
         if len(hits) != 1:
             raise OpticsError("frequency support does not contain DC exactly once")
@@ -93,6 +116,20 @@ def build_frequency_support(grid: GridSpec, optics: OpticsConfig) -> FrequencySu
         shape=(rows, cols),
         freq_step=step,
     )
+
+
+def dense_frequency_support(
+    shape: Tuple[int, int], pixel_nm: float
+) -> FrequencySupport:
+    """A support covering every sample of ``shape``'s FFT grid.
+
+    Kernels that are not band-limited on the grid (the full-chip window
+    kernels, whose spectra come from truncated spatial stencils) live on
+    this form.
+    """
+    rows, cols = shape
+    step = np.fft.fftfreq(cols if cols > 1 else rows, d=pixel_nm)[1]
+    return FrequencySupport(shape=(rows, cols), freq_step=abs(step))
 
 
 def build_amplitude_matrix(

@@ -11,9 +11,10 @@ bundles three things:
 * a **dtype policy** (``float64``/``complex128`` or
   ``float32``/``complex64``) applied by :meth:`ArrayBackend.asarray`;
 * a **device-side kernel cache** (:meth:`ArrayBackend.kernel_data`):
-  SOCS spectra, weights, and support index arrays converted once per
-  kernel set and reused across every forward/adjoint call — the
-  "FFT-plan/workspace reuse" half of the seam.
+  SOCS spectra, weights, and support index arrays (none for a dense
+  support) converted once per kernel set and reused across every
+  forward/adjoint call — the "FFT-plan/workspace reuse" half of the
+  seam.  An entry is dropped when its kernel set dies.
 
 Equivalence contract (enforced by ``tests/test_backend_seam.py`` and the
 backend-parametrized equivalence suites):
@@ -55,7 +56,8 @@ class DeviceKernelData:
     Attributes:
         weights: real eigenvalue weights ``(h,)`` at the policy dtype.
         spectra: complex kernel spectra ``(h, support_size)``.
-        rows / cols: support index arrays in the backend's index type.
+        rows / cols: support index arrays in the backend's index type;
+            None for a dense support, which is addressed by reshaping.
     """
 
     weights: Any
@@ -201,11 +203,12 @@ class ArrayBackend:
         entry = table.get(key)
         if entry is not None and entry[0]() is kernels:
             return entry[1]
+        support = kernels.support
         data = DeviceKernelData(
             weights=self.asarray(kernels.weights, "float"),
             spectra=self.asarray(kernels.spectra, "complex"),
-            rows=self.asarray(kernels.support.rows, "index"),
-            cols=self.asarray(kernels.support.cols, "index"),
+            rows=None if support.dense else self.asarray(support.rows, "index"),
+            cols=None if support.dense else self.asarray(support.cols, "index"),
         )
 
         def forget(ref: weakref.ref) -> None:

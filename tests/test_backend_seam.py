@@ -33,6 +33,8 @@ from repro.errors import OpticsError
 from repro.litho.simulator import LithographySimulator
 from repro.mask.transform import mask_from_params, mask_param_derivative, params_from_mask
 from repro.opc.mosaic import MosaicFast
+from repro.optics.kernels import SOCSKernels
+from repro.optics.tcc import dense_frequency_support
 from repro.utils.validation import sigmoid
 from repro.workloads.random_layout import random_layout
 from repro.xp import (
@@ -289,6 +291,18 @@ class TestAdapterConformance:
         del dead
         gc.collect()
         assert data() is None
+
+    def test_kernel_data_dense_support_has_no_index_arrays(self, backend, rng):
+        spectra = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+        kernels = SOCSKernels(
+            support=dense_frequency_support((8, 8), 4.0),
+            weights=np.array([0.7, 0.3]),
+            spectra=spectra,
+            defocus_nm=0.0,
+        )
+        data = backend.kernel_data(kernels)
+        assert data.rows is None and data.cols is None
+        assert np.allclose(backend.to_numpy(data.spectra), spectra)
 
     def test_kernel_data_cached_by_identity(self, backend, tiny_sim):
         kernels = tiny_sim.kernels_at(0.0)

@@ -236,6 +236,38 @@ class TestWindowSupportFormPin:
         assert np.array_equal(shipped, indexed)
 
 
+@pytest.fixture(scope="module")
+def backend_window_sim(backend, window_sim):
+    """``window_sim``'s window on the parametrized backend (shared kernels)."""
+    simulator = window_sim.model.simulator_for(window_sim.grid.shape, backend=backend)
+    simulator._kernel_cache = window_sim._kernel_cache
+    return simulator
+
+
+class TestWindowBackends:
+    """The dense-support window path on every backend vs the numpy reference."""
+
+    def test_aerials_match_reference(self, backend_window_sim, backend, rng):
+        mask = random_mask(rng, backend_window_sim.grid.shape)
+        corners = backend_window_sim.corners()
+        images = backend_window_sim.simulate_all_corners(mask, corners)
+        references = reference_aerials(backend_window_sim, mask, corners)
+        for image, reference in zip(images, references):
+            diff = np.max(np.abs(image - reference))
+            assert diff <= aerial_atol(backend, np.max(np.abs(reference)))
+
+    def test_gradient_matches_reference(self, backend_window_sim, backend, rng):
+        mask = random_mask(rng, backend_window_sim.grid.shape)
+        contributions = [
+            (corner, rng.standard_normal(backend_window_sim.grid.shape))
+            for corner in backend_window_sim.corners()
+        ]
+        grad = backend_window_sim.gradient_all_corners(mask, contributions)
+        reference = reference_gradient(backend_window_sim, mask, contributions)
+        rtol, atol = grad_tols(backend, np.max(np.abs(reference)))
+        assert np.allclose(grad, reference, rtol=rtol, atol=atol)
+
+
 class TestHopkinsBatching:
     """Unit-level equivalence of the batched hopkins primitives."""
 

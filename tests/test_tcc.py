@@ -5,11 +5,14 @@ import pytest
 
 from repro.config import GridSpec, OpticsConfig
 from repro.errors import OpticsError
+from repro.optics.kernels import SOCSKernels
 from repro.optics.source import AnnularSource
 from repro.optics.tcc import (
+    FrequencySupport,
     build_amplitude_matrix,
     build_frequency_support,
     decompose_amplitude,
+    dense_frequency_support,
     tcc_matrix,
 )
 
@@ -53,6 +56,99 @@ class TestFrequencySupport:
 
     def test_freq_step_matches_extent(self, support):
         assert support.freq_step == pytest.approx(1.0 / 1024.0)
+
+
+DENSE_SHAPE = (12, 10)
+DENSE_PIXEL_NM = 4.0
+
+
+def index_array_support(shape, pixel_nm):
+    """Every sample of ``shape``'s FFT grid, listed as index arrays."""
+    rows, cols = shape
+    fxx, fyy = np.meshgrid(
+        np.fft.fftfreq(cols, d=pixel_nm), np.fft.fftfreq(rows, d=pixel_nm)
+    )
+    return FrequencySupport(
+        rows=np.repeat(np.arange(rows), cols),
+        cols=np.tile(np.arange(cols), rows),
+        fx=fxx.ravel(),
+        fy=fyy.ravel(),
+        shape=shape,
+        freq_step=1.0 / (cols * pixel_nm),
+    )
+
+
+class TestDenseSupport:
+    """The dense form answers exactly like index arrays over the same grid."""
+
+    @pytest.fixture(scope="class")
+    def forms(self):
+        return (
+            dense_frequency_support(DENSE_SHAPE, DENSE_PIXEL_NM),
+            index_array_support(DENSE_SHAPE, DENSE_PIXEL_NM),
+        )
+
+    @pytest.fixture(scope="class")
+    def kernel_pair(self, forms):
+        rng = np.random.default_rng(7)
+        size = DENSE_SHAPE[0] * DENSE_SHAPE[1]
+        spectra = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
+        weights = np.array([0.6, 0.3, 0.1])
+        return tuple(
+            SOCSKernels(support=s, weights=weights, spectra=spectra, defocus_nm=0.0)
+            for s in forms
+        )
+
+    def test_carries_no_arrays(self, forms):
+        dense, indexed = forms
+        assert dense.dense and not indexed.dense
+        assert dense.rows is dense.cols is dense.fx is dense.fy is None
+
+    def test_freq_step_matches(self, forms):
+        dense, indexed = forms
+        assert dense.freq_step == indexed.freq_step
+
+    def test_size(self, forms):
+        dense, indexed = forms
+        assert dense.size == indexed.size == DENSE_SHAPE[0] * DENSE_SHAPE[1]
+
+    def test_zero_index(self, forms):
+        dense, indexed = forms
+        assert dense.zero_index() == indexed.zero_index() == 0
+
+    def test_scatter(self, forms):
+        dense, indexed = forms
+        values = np.arange(dense.size) * (1.0 - 0.5j)
+        scattered = dense.scatter(values)
+        assert scattered.dtype == np.complex128
+        assert np.array_equal(scattered, indexed.scatter(values))
+        values[0] = 99.0
+        assert scattered[0, 0] == 0.0  # a copy, as with index arrays
+
+    def test_gather(self, forms):
+        dense, indexed = forms
+        full = np.arange(dense.size, dtype=np.float64).reshape(DENSE_SHAPE) + 2.0j
+        gathered = dense.gather(full)
+        assert np.array_equal(gathered, indexed.gather(full))
+        full[0, 0] = 99.0
+        assert gathered[0] == 2.0j  # a copy, as with index arrays
+
+    def test_spatial_kernel(self, kernel_pair):
+        dense, indexed = kernel_pair
+        for k in range(dense.num_kernels):
+            assert np.array_equal(dense.spatial_kernel(k), indexed.spatial_kernel(k))
+
+    def test_combined(self, kernel_pair):
+        dense, indexed = (ks.combined() for ks in kernel_pair)
+        assert dense.support.dense
+        assert np.array_equal(dense.weights, indexed.weights)
+        assert np.array_equal(dense.spectra, indexed.spectra)
+
+    def test_truncated(self, kernel_pair):
+        dense, indexed = (ks.truncated(2) for ks in kernel_pair)
+        assert dense.support.dense
+        assert np.array_equal(dense.weights, indexed.weights)
+        assert np.array_equal(dense.spectra, indexed.spectra)
 
 
 class TestAmplitudeAndTCC:
