@@ -128,8 +128,9 @@ def dense_frequency_support(
     this form.
     """
     rows, cols = shape
-    step = np.fft.fftfreq(cols if cols > 1 else rows, d=pixel_nm)[1]
-    return FrequencySupport(shape=(rows, cols), freq_step=abs(step))
+    # The lattice step 1 / (n * pixel), as fftfreq computes it.
+    step = 1.0 / ((cols if cols > 1 else rows) * pixel_nm)
+    return FrequencySupport(shape=(rows, cols), freq_step=step)
 
 
 def build_amplitude_matrix(
