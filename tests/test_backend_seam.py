@@ -316,6 +316,54 @@ class TestAdapterConformance:
         )
 
 
+#: Grids the engine transforms: the 256-px clip, the 372-px tile window,
+#: a 372x628 window and the 1024-px paper-scale clip.
+PIN_GRIDS = [(256, 256), (372, 372), (372, 628), (1024, 1024)]
+PIN_BATCHES = [1, 2, 8, 16]
+#: Every grid at every batch size, plus the clip's row pass: 16 kernels
+#: over the 27 support rows of a 256-px grid.
+PIN_SHAPES = [(b,) + grid for grid in PIN_GRIDS for b in PIN_BATCHES] + [(16, 27, 256)]
+
+
+def _numpy_transforms(backend):
+    """(name, backend call, numpy's own call) for every transform."""
+    return [
+        ("fft2", backend.fft2, lambda a: np.fft.fft2(a, axes=(-2, -1))),
+        ("ifft2", backend.ifft2, lambda a: np.fft.ifft2(a, axes=(-2, -1))),
+    ] + [
+        (f"{name}[axis={axis}]",
+         lambda a, f=getattr(backend, name), axis=axis: f(a, axis=axis),
+         lambda a, f=getattr(np.fft, name), axis=axis: f(a, axis=axis))
+        for name in ("fft", "ifft")
+        for axis in (-1, -2)
+    ]
+
+
+class TestThreadedTransformPin:
+    """The float64 backend's transforms are numpy's own, bit for bit.
+
+    Covers the batched shapes the engine transforms, real and complex
+    input, and both axes of the 1-D calls, so a change in how the
+    backend runs them -- or a numpy upgrade -- cannot shift masks
+    without failing here.
+    """
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("shape", PIN_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_transforms_match_numpy(self, shape, kind):
+        backend = NumpyBackend("float64")
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape)
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(shape)
+        for name, ours, theirs in _numpy_transforms(backend):
+            expected = theirs(x)
+            got = ours(x)
+            assert got.dtype == expected.dtype, name
+            assert np.array_equal(got, expected), name
+            del expected, got
+
+
 class TestMaskTransformSeam:
     """Sigmoid and mask-parametrization transforms on each backend."""
 
