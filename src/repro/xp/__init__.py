@@ -20,6 +20,10 @@ set of converted spectra) instead of one per tile — see
 ``docs/backends.md``.  Specs are validated *without* importing the heavy
 library (:func:`validate_backend_spec`), so configs can reject typos
 eagerly while torch/cupy stay optional imports.
+
+The float64 numpy backend splits large batched transforms across
+threads: every usable core (:func:`usable_cores`) by default, or the
+count a solver process is given through :func:`fft_threads_scope`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .base import (
     ArrayBackend,
     DeviceKernelData,
 )
-from .numpy_backend import NumpyBackend
+from .numpy_backend import NumpyBackend, fft_threads_scope, usable_cores
 
 __all__ = [
     "ALL_BACKEND_SPECS",
@@ -50,9 +54,11 @@ __all__ = [
     "NumpyBackend",
     "available_backend_specs",
     "backend_available",
+    "fft_threads_scope",
     "get_backend",
     "parse_backend_spec",
     "resolve_backend",
+    "usable_cores",
     "validate_backend_spec",
 ]
 

@@ -110,6 +110,11 @@ class ArrayBackend:
         return self.name == "numpy" and self.precision == "float64"
 
     @property
+    def fft_threads(self) -> int:
+        """Threads one transform call may split across (1 = the caller's)."""
+        return 1
+
+    @property
     def equivalence_rtol(self) -> float:
         """Per-dtype tolerance vs the numpy reference (0.0 == bitwise)."""
         if self.is_reference:

@@ -5,33 +5,111 @@ method forwards to the exact numpy call the legacy (pre-seam) code made,
 so the ported core reproduces the old results bitwise and the existing
 golden/equivalence pins keep holding.
 
-``NumpyBackend("float32")`` is the single-precision mode.  ``numpy.fft``
-always computes in double precision, so the float32 transforms route
-through ``scipy.fft`` (same pocketfft core), which preserves single
-precision end to end — that is where the float32 speedup in
-``BENCH_backend.json`` comes from.
+Its transforms may run on several threads.  A large enough batch is cut
+along its leading axis into contiguous chunks, and each chunk calls
+numpy on its own slice of one output array.  Every transform in a batch
+is computed on its own, so the result is bitwise the unsplit call's
+(``tests/test_backend_seam.py::TestThreadedTransformPin``).  Numpy
+releases the GIL inside its FFTs, so the chunks run in parallel.
+
+``NumpyBackend("float32")`` is the single-precision mode.  Its
+transforms route through ``scipy.fft`` (same pocketfft core), imported
+only when such a backend is built; float32 never splits.
 """
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+import contextlib
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.fft
 
 from .base import ArrayBackend
 
+#: Fewest points a batched float64 transform needs before it is split
+#: across threads.  On a 2-vCPU host two threads lost on some 1-D passes
+#: of 2^16 points and won on every call from 8e4 points; the clip's
+#: (16, 27, 256) row pass is just above this line.
+SPLIT_MIN_POINTS = 100_000
+
+_SPLIT_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+
+#: Thread count for the solve running in this context; None leaves every
+#: usable core.  Set by :func:`fft_threads_scope`.
+_SCOPED_THREADS: contextvars.ContextVar[Optional[int]] = contextvars.ContextVar(
+    "repro_fft_threads", default=None
+)
+
+
+def usable_cores() -> int:
+    """CPU cores this process may run on (its affinity mask when known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def fft_threads_scope(threads: Optional[int]) -> Iterator[None]:
+    """Run float64 transforms called in this context on ``threads`` threads.
+
+    A solver process that shares the host with others solves inside one
+    of these, so the processes together use each core once.  ``None``
+    leaves the default, every usable core.  The scope is per thread (a
+    context variable), so concurrent solves in one process do not see
+    each other's count.
+    """
+    if threads is not None and threads < 1:
+        raise ValueError(f"fft threads must be >= 1, got {threads}")
+    token = _SCOPED_THREADS.set(threads)
+    try:
+        yield
+    finally:
+        _SCOPED_THREADS.reset(token)
+
 
 class NumpyBackend(ArrayBackend):
-    """Host-memory numpy backend at either precision."""
+    """Host-memory numpy backend at either precision.
+
+    Args:
+        precision: ``"float64"`` (the reference) or ``"float32"``.
+        threads: threads a float64 transform may split across; None
+            follows :func:`fft_threads_scope`, else every usable core.
+    """
 
     name = "numpy"
 
-    def __init__(self, precision: str = "float64") -> None:
+    def __init__(self, precision: str = "float64", threads: Optional[int] = None) -> None:
         super().__init__(precision)
-        # float64 keeps np.fft for bitwise identity with the legacy path;
-        # float32 needs scipy.fft, which honours single precision.
-        self._fft_mod = np.fft if precision == "float64" else scipy.fft
+        if threads is not None and threads < 1:
+            raise ValueError(f"fft threads must be >= 1, got {threads}")
+        if precision == "float64":
+            # np.fft keeps bitwise identity with the legacy path.
+            self._fft_mod: Any = np.fft
+        else:
+            import scipy.fft  # honours single precision end to end
+
+            self._fft_mod = scipy.fft
+        self._threads = threads
+        # The chunk pool starts on first use, so building a backend
+        # starts no thread.
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_pid = 0
+        self._pool_size = 0
+        self._pool_lock = threading.Lock()
+
+    @property
+    def fft_threads(self) -> int:
+        if self.precision != "float64":
+            return 1
+        if self._threads is not None:
+            return self._threads
+        scoped = _SCOPED_THREADS.get()
+        return scoped if scoped is not None else usable_cores()
 
     # -- array construction / crossing ------------------------------------
 
@@ -55,16 +133,83 @@ class NumpyBackend(ArrayBackend):
     # -- transforms --------------------------------------------------------
 
     def fft2(self, x: Any) -> Any:
+        chunks = self._chunks(x, (-2, -1))
+        if chunks > 1:
+            return self._split(np.fft.fftn, x, chunks, axes=(-2, -1))
         return self._fft_mod.fft2(x, axes=(-2, -1))
 
     def ifft2(self, x: Any) -> Any:
+        chunks = self._chunks(x, (-2, -1))
+        if chunks > 1:
+            # Not np.fft.ifft2: it accepts out= but never writes to it.
+            return self._split(np.fft.ifftn, x, chunks, axes=(-2, -1))
         return self._fft_mod.ifft2(x, axes=(-2, -1))
 
     def fft(self, x: Any, axis: int) -> Any:
+        chunks = self._chunks(x, (axis,))
+        if chunks > 1:
+            return self._split(np.fft.fft, x, chunks, axis=axis)
         return self._fft_mod.fft(x, axis=axis)
 
     def ifft(self, x: Any, axis: int) -> Any:
+        chunks = self._chunks(x, (axis,))
+        if chunks > 1:
+            return self._split(np.fft.ifft, x, chunks, axis=axis)
         return self._fft_mod.ifft(x, axis=axis)
+
+    def _chunks(self, x: Any, axes: Sequence[int]) -> int:
+        """How many pieces a transform over ``axes`` runs as (1 = unsplit).
+
+        Splits a float64/complex128 numpy array along its leading axis
+        when that axis is not transformed, holds at least one entry per
+        thread, and the whole call is large enough to pay for the
+        hand-off.
+        """
+        if not isinstance(x, np.ndarray) or x.dtype not in _SPLIT_DTYPES:
+            return 1
+        if x.ndim < 2 or x.size < SPLIT_MIN_POINTS:
+            return 1
+        if any(axis % x.ndim == 0 for axis in axes):
+            return 1
+        threads = self.fft_threads
+        return threads if 1 < threads <= x.shape[0] else 1
+
+    def _split(self, fn: Callable[..., Any], x: np.ndarray, chunks: int, **kw: Any) -> np.ndarray:
+        """``fn`` over contiguous leading-axis chunks, on parallel threads.
+
+        The calling thread runs the first chunk itself; the pool runs
+        the rest.  Each chunk writes its own slice of one output.
+        """
+        out = np.empty(x.shape, dtype=np.complex128)
+        bounds = [x.shape[0] * i // chunks for i in range(chunks + 1)]
+        pool = self._executor(chunks - 1)
+        futures = [
+            pool.submit(fn, x[lo:hi], out=out[lo:hi], **kw)
+            for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        fn(x[: bounds[1]], out=out[: bounds[1]], **kw)
+        for future in futures:
+            future.result()
+        return out
+
+    def _executor(self, workers: int) -> ThreadPoolExecutor:
+        """The chunk pool, with at least ``workers`` threads.
+
+        Rebuilt in a forked child: the parent's pool threads do not
+        exist there, so work queued on the inherited pool would never
+        run.
+        """
+        with self._pool_lock:
+            pid = os.getpid()
+            if self._pool is None or self._pool_pid != pid or self._pool_size < workers:
+                # A replaced pool is not shut down: a caller may still be
+                # submitting to it.  Its threads exit once it is freed.
+                self._pool = ThreadPoolExecutor(
+                    max_workers=workers, thread_name_prefix="repro-fft"
+                )
+                self._pool_pid = pid
+                self._pool_size = workers
+            return self._pool
 
     def einsum(self, subscripts: str, *operands: Any) -> Any:
         return np.einsum(subscripts, *operands)

@@ -18,10 +18,19 @@ Four layers, mirroring the seam's contract (``src/repro/xp/base.py``):
    trajectory is reproduced on every backend: tightly on the float64
    reference, within the float32 A/B gate elsewhere (measured headroom
    is ~40x: observed float32 drift ~2.6e-7 relative vs the 1e-5 gate).
+
+The float64 reference's transforms are also pinned to numpy's own calls
+bit for bit, at one thread and split across two
+(``TestThreadedTransformPin``), and its thread pool is checked across a
+fork and under concurrent callers (``TestTransformThreads``).
 """
 
 import gc
 import json
+import multiprocessing
+import os
+import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -45,6 +54,7 @@ from repro.xp import (
     NumpyBackend,
     available_backend_specs,
     backend_available,
+    fft_threads_scope,
     get_backend,
     parse_backend_spec,
     resolve_backend,
@@ -345,13 +355,15 @@ class TestThreadedTransformPin:
     Covers the batched shapes the engine transforms, real and complex
     input, and both axes of the 1-D calls, so a change in how the
     backend runs them -- or a numpy upgrade -- cannot shift masks
-    without failing here.
+    without failing here.  Runs at one thread (numpy's call itself) and
+    at two (the batch split across threads), whatever the host's cores.
     """
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("shape", PIN_SHAPES, ids=lambda s: "x".join(map(str, s)))
-    def test_transforms_match_numpy(self, shape, kind):
-        backend = NumpyBackend("float64")
+    def test_transforms_match_numpy(self, shape, kind, threads):
+        backend = NumpyBackend("float64", threads=threads)
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
         if kind == "complex":
@@ -362,6 +374,134 @@ class TestThreadedTransformPin:
             assert got.dtype == expected.dtype, name
             assert np.array_equal(got, expected), name
             del expected, got
+
+    @pytest.mark.parametrize("shape", [(16, 256, 256), (16, 372, 372), (16, 27, 256)])
+    def test_engine_batches_split_at_two_threads(self, shape):
+        # The pin above exercises the split only if these shapes take it.
+        backend = NumpyBackend("float64", threads=2)
+        x = np.zeros(shape, dtype=np.complex128)
+        assert backend._chunks(x, (-2, -1)) == 2
+        assert backend._chunks(x, (-1,)) == backend._chunks(x, (-2,)) == 2
+
+
+def _split_transform(backend, x):
+    """A transform the backend splits, run through the backend."""
+    assert backend._chunks(x, (-2, -1)) > 1
+    return backend.ifft2(x)
+
+
+def _fork_child(backend, x, expected, conn):
+    conn.send(np.array_equal(_split_transform(backend, x), expected))
+    conn.close()
+
+
+class TestTransformThreads:
+    """How the float64 backend splits transforms across its thread pool."""
+
+    def _stack(self, batch=8, n=128):
+        rng = np.random.default_rng(7)
+        return rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
+
+    def test_default_is_every_usable_core(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert NumpyBackend("float64").fft_threads == 3
+        assert NumpyBackend("float64", threads=1).fft_threads == 1
+        assert NumpyBackend("float32").fft_threads == 1
+
+    def test_scope_sets_the_count_and_restores_it(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        backend = NumpyBackend("float64")
+        with fft_threads_scope(2):
+            assert backend.fft_threads == 2
+            with fft_threads_scope(None):
+                assert backend.fft_threads == 4
+        assert backend.fft_threads == 4
+        # An explicit count outranks the scope.
+        with fft_threads_scope(2):
+            assert NumpyBackend("float64", threads=3).fft_threads == 3
+
+    def test_bad_counts_rejected(self):
+        with pytest.raises(ValueError):
+            NumpyBackend("float64", threads=0)
+        with pytest.raises(ValueError):
+            with fft_threads_scope(0):
+                pass
+
+    def test_what_stays_unsplit(self):
+        backend = NumpyBackend("float64", threads=2)
+        big = np.zeros((16, 128, 128), dtype=np.complex128)
+        assert backend._chunks(big, (-2, -1)) == 2
+        # One 2-D grid, and a 1-D pass over the batch axis itself.
+        assert backend._chunks(np.zeros((512, 512)), (-2, -1)) == 1
+        assert backend._chunks(big, (0,)) == 1
+        # Too small, fewer entries than threads, single precision input.
+        assert backend._chunks(np.zeros((8, 64, 64)), (-2, -1)) == 1
+        assert backend._chunks(np.zeros((1, 512, 512)), (-2, -1)) == 1
+        assert backend._chunks(big.astype(np.complex64), (-2, -1)) == 1
+        assert NumpyBackend("float32")._chunks(big, (-2, -1)) == 1
+        assert NumpyBackend("float64", threads=1)._chunks(big, (-2, -1)) == 1
+
+    def test_no_thread_before_the_first_split(self):
+        backend = NumpyBackend("float64", threads=2)
+        backend.fft2(np.zeros((4, 16, 16)))
+        assert backend._pool is None
+        _split_transform(backend, self._stack())
+        assert backend._pool is not None
+
+    def test_forked_child_rebuilds_the_pool(self):
+        # A forked child inherits the pool object but none of its
+        # threads; work queued on it would never run.
+        backend = NumpyBackend("float64", threads=2)
+        x = self._stack()
+        expected = np.fft.ifft2(x, axes=(-2, -1))
+        assert np.array_equal(_split_transform(backend, x), expected)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_fork_child, args=(backend, x, expected, send))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(60), "forked child never finished its transform"
+            assert receive.recv() is True
+        finally:
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+
+    def test_concurrent_callers_share_one_backend(self):
+        # Concurrent service jobs run through one backend singleton.
+        backend = NumpyBackend("float64", threads=2)
+        inputs = [self._stack(batch=8 + k) for k in range(4)]
+        expected = [NumpyBackend("float64", threads=1).ifft2(x) for x in inputs]
+        results = {}
+        errors = []
+
+        def caller(k):
+            try:
+                for _ in range(5):
+                    got = backend.ifft2(inputs[k])
+                    if not np.array_equal(got, expected[k]):
+                        results[k] = False
+                        return
+                results[k] = True
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert results == {k: True for k in range(4)}
 
 
 class TestMaskTransformSeam:

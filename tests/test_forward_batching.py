@@ -8,7 +8,8 @@ hopkins primitives (:func:`aerial_image`, :func:`field_stack`,
 aerial images are bitwise equal to the reference — on the tiny grid, on
 the 256-px reduced grid (row-pruned inverse FFT) and on a 372-px
 full-chip window (dense support, unpruned inverse FFT) — and gradients
-reassociate only at the 1e-12 level.
+reassociate only at the 1e-12 level.  The bitwise pins hold at one
+thread and at two, where the batched transforms split across threads.
 
 The cross-backend comparisons are parametrized over every registered
 array backend (``backend`` fixture): the reference side always runs on
@@ -16,6 +17,8 @@ the numpy float64 backend, so the float64 tolerances apply to float64
 backends while single-precision backends are held to the float32
 forward gate instead.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from repro.fullchip.ambit import AmbitModel
 from repro.fullchip.engine import FullChipConfig, FullChipEngine
 from repro.litho.simulator import LithographySimulator
 from repro.obs import Instrumentation
+from repro.opc.mosaic import MosaicFast
 from repro.opc.objectives import (
     CompositeObjective,
     ImageDifferenceObjective,
@@ -45,6 +49,11 @@ from repro.optics.tcc import FrequencySupport
 from repro.process.corners import ProcessCorner, nominal_corner
 from repro.process.pvband import pv_band, pv_band_area
 from repro.workloads.generator import synthetic_canvas
+from repro.workloads.iccad2013 import load_benchmark
+from repro.xp import fft_threads_scope
+
+#: Thread counts the bitwise pins run the float64 transforms at.
+FFT_THREADS = (1, 2)
 
 AERIAL_TOL = 1e-10  # max abs diff on aerial images for float64 backends
 GRAD_RTOL = 1e-9  # gradients only reassociate floating-point sums
@@ -129,15 +138,21 @@ def pinned_sim(request):
 
 
 class TestReferencePin:
-    """The engine against the per-kernel reference on every grid type."""
+    """The engine against the per-kernel reference on every grid type.
+
+    Each case runs at every count in ``FFT_THREADS``: the batched
+    transforms split across threads must not move a bit.
+    """
 
     def test_simulate_all_corners_bitwise(self, pinned_sim, rng):
         mask = random_mask(rng, pinned_sim.grid.shape)
         corners = pinned_sim.corners()
-        images = pinned_sim.simulate_all_corners(mask, corners)
         references = reference_aerials(pinned_sim, mask, corners)
-        for image, reference in zip(images, references):
-            assert np.array_equal(image, reference)
+        for threads in FFT_THREADS:
+            with fft_threads_scope(threads):
+                images = pinned_sim.simulate_all_corners(mask, corners)
+            for image, reference in zip(images, references):
+                assert np.array_equal(image, reference), f"{threads} thread(s)"
 
     def test_gradient_all_corners_matches(self, pinned_sim, rng):
         mask = random_mask(rng, pinned_sim.grid.shape)
@@ -145,10 +160,24 @@ class TestReferencePin:
             (corner, rng.standard_normal(pinned_sim.grid.shape))
             for corner in pinned_sim.corners()
         ]
-        grad = pinned_sim.gradient_all_corners(mask, contributions)
+        grads = []
+        for threads in FFT_THREADS:
+            with fft_threads_scope(threads):
+                grads.append(pinned_sim.gradient_all_corners(mask, contributions))
+        for grad in grads[1:]:
+            assert np.array_equal(grad, grads[0])
         reference = reference_gradient(pinned_sim, mask, contributions)
         scale = np.max(np.abs(reference))
-        assert np.allclose(grad, reference, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
+        assert np.allclose(grads[0], reference, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
+
+    def test_mosaic_fast_mask_bitwise(self, sim):
+        layout = load_benchmark("B1")
+        masks = []
+        for threads in FFT_THREADS:
+            with fft_threads_scope(threads):
+                masks.append(MosaicFast(sim.config, simulator=sim).solve(layout).mask)
+        for mask in masks[1:]:
+            assert np.array_equal(mask, masks[0])
 
 
 def with_index_arrays(kernels, pixel_nm):
@@ -195,14 +224,19 @@ class TestWindowSupportFormPin:
     Window kernels cover every frequency of their grid.  The shipped
     kernels and the same kernels with the support given as explicit index
     arrays must produce identical aerials, gradients and stitched masks.
+    The shipped side runs at every count in ``FFT_THREADS``, the indexed
+    side at one thread, so the pin also spans thread counts.
     """
 
     def test_simulate_all_corners_bitwise(self, window_sim, index_window_sim, rng):
         mask = random_mask(rng, window_sim.grid.shape)
-        shipped = window_sim.simulate_all_corners(mask)
-        indexed = index_window_sim.simulate_all_corners(mask)
-        for image, reference in zip(shipped, indexed):
-            assert np.array_equal(image, reference)
+        with fft_threads_scope(1):
+            indexed = index_window_sim.simulate_all_corners(mask)
+        for threads in FFT_THREADS:
+            with fft_threads_scope(threads):
+                shipped = window_sim.simulate_all_corners(mask)
+            for image, reference in zip(shipped, indexed):
+                assert np.array_equal(image, reference), f"{threads} thread(s)"
 
     def test_gradient_all_corners_bitwise(self, window_sim, index_window_sim, rng):
         mask = random_mask(rng, window_sim.grid.shape)
@@ -210,11 +244,16 @@ class TestWindowSupportFormPin:
             (corner, rng.standard_normal(window_sim.grid.shape))
             for corner in window_sim.corners()
         ]
-        shipped = window_sim.gradient_all_corners(mask, contributions)
-        indexed = index_window_sim.gradient_all_corners(mask, contributions)
-        assert np.array_equal(shipped, indexed)
+        with fft_threads_scope(1):
+            indexed = index_window_sim.gradient_all_corners(mask, contributions)
+        for threads in FFT_THREADS:
+            with fft_threads_scope(threads):
+                shipped = window_sim.gradient_all_corners(mask, contributions)
+            assert np.array_equal(shipped, indexed), f"{threads} thread(s)"
 
     def test_one_tile_stitched_mask_bitwise(self, monkeypatch):
+        # One tile solves in-process on every usable core, so the thread
+        # count is set through the cores the process may use.
         litho = LithoConfig.reduced()
         engine = FullChipEngine(
             litho,
@@ -223,7 +262,12 @@ class TestWindowSupportFormPin:
         )
         layout = synthetic_canvas(1024.0, 1024.0, seed=4)
         assert engine.plan_for(layout).num_tiles == 1
-        shipped = engine.solve(layout).mask
+        shipped = {}
+        for threads in FFT_THREADS:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=threads: set(range(n)))
+            result = engine.solve(layout)
+            assert [r.fft_threads for r in result.tile_results] == [threads]
+            shipped[threads] = result.mask
 
         shipped_kernels = AmbitModel.window_kernels
 
@@ -232,8 +276,10 @@ class TestWindowSupportFormPin:
             return with_index_arrays(kernels, model.pixel_nm)
 
         monkeypatch.setattr(AmbitModel, "window_kernels", indexed_kernels)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         indexed = engine.solve(layout).mask
-        assert np.array_equal(shipped, indexed)
+        for threads, mask in shipped.items():
+            assert np.array_equal(mask, indexed), f"{threads} thread(s)"
 
 
 @pytest.fixture(scope="module")
