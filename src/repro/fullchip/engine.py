@@ -57,6 +57,7 @@ from ..process.pvband import pv_band_area
 from ..tables import ColumnSpec, TextTable, write_csv_rows
 from ..utils.io import write_json_atomic
 from ..utils.timer import Timer
+from ..xp import usable_cores
 from .ambit import (
     DEFAULT_ENERGY_TOL,
     DEFAULT_PROBE_EXTENT_NM,
@@ -257,6 +258,8 @@ class FullChipResult:
         runtime_s: end-to-end wall clock of the run.
         telemetry_dir: where telemetry artifacts were written (None
             when telemetry was off).
+        fft_threads: threads the chip evaluation's transforms split
+            across, in this process.
     """
 
     layout_name: str
@@ -267,6 +270,7 @@ class FullChipResult:
     score: ScoreBreakdown
     runtime_s: float
     telemetry_dir: Optional[Path] = None
+    fft_threads: Optional[int] = None
 
     @property
     def all_ok(self) -> bool:
@@ -572,6 +576,19 @@ class FullChipEngine:
                     except Exception as exc:  # noqa: BLE001 - telemetry only
                         logger.warning("parent resource sampler failed: %s", exc)
                         sampler = None
+            executor = executor_for(
+                cfg.executor,
+                cfg.workers,
+                run_dir=cfg.telemetry_dir,
+                queue_config=(
+                    cfg.queue_config() if cfg.executor == "queue" else None
+                ),
+                drain_timeout_s=cfg.queue_drain_timeout_s,
+            )
+            # Solver processes running at once share the cores evenly.
+            fft_threads = max(
+                1, usable_cores() // executor.solvers_at_once(plan.num_tiles)
+            )
             jobs = [
                 TileJob(
                     tile=tile,
@@ -589,18 +606,10 @@ class FullChipEngine:
                     timeout_s=cfg.tile_timeout_s,
                     telemetry=telemetry_cfg,
                     backend=cfg.backend,
+                    fft_threads=fft_threads,
                 )
                 for tile in plan
             ]
-            executor = executor_for(
-                cfg.executor,
-                cfg.workers,
-                run_dir=cfg.telemetry_dir,
-                queue_config=(
-                    cfg.queue_config() if cfg.executor == "queue" else None
-                ),
-                drain_timeout_s=cfg.queue_drain_timeout_s,
-            )
             try:
                 results = run_tile_jobs(
                     jobs,
@@ -695,6 +704,7 @@ class FullChipEngine:
             seam_report=seam_report,
             score=score,
             runtime_s=total.elapsed,
+            fft_threads=sim.xp.fft_threads,
         )
         if status is not None:
             status.finalize(
@@ -740,6 +750,7 @@ class FullChipEngine:
                     "score_total": r.score_total,
                     "cached": r.from_cache,
                     "error": r.status.error,
+                    "fft_threads": r.fft_threads,
                     "telemetry": r.telemetry.as_dict() if r.telemetry else None,
                 }
             )
@@ -750,6 +761,7 @@ class FullChipEngine:
             "layout": result.layout_name,
             "grid": list(result.plan.grid_shape),
             "workers": cfg.workers,
+            "fft_threads": result.fft_threads,
             "solver_mode": cfg.solver_mode,
             "tile_nm": cfg.tile_nm,
             "halo_nm": result.plan.halo_nm,

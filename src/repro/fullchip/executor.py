@@ -210,6 +210,10 @@ class TileExecutor:
 
     name = "abstract"
 
+    def solvers_at_once(self, num_jobs: int) -> int:
+        """Solver processes this executor runs at once on ``num_jobs`` jobs."""
+        return 1
+
     def run(
         self, jobs: Sequence[TileJob], ctx: ExecutionContext
     ) -> Dict[Tuple[int, int], TileResult]:
@@ -255,6 +259,9 @@ class PoolExecutor(TileExecutor):
         if workers < 1:
             raise FullChipError(f"pool workers must be >= 1, got {workers}")
         self.workers = workers
+
+    def solvers_at_once(self, num_jobs: int) -> int:
+        return min(self.workers, num_jobs)
 
     def run(
         self, jobs: Sequence[TileJob], ctx: ExecutionContext
@@ -358,6 +365,10 @@ class QueueWorkerExecutor(TileExecutor):
         self.spawn_workers = spawn_workers
         self.max_respawns = workers if max_respawns is None else max_respawns
         self.drain_timeout_s = drain_timeout_s
+
+    def solvers_at_once(self, num_jobs: int) -> int:
+        # Hand-launched workers are not counted: they take the jobs' value.
+        return max(1, min(self.workers, num_jobs))
 
     # -- worker fleet -------------------------------------------------------
 
@@ -474,6 +485,7 @@ class QueueWorkerExecutor(TileExecutor):
                 score_total=float(record.get("score_total", 0.0) or 0.0),
                 from_cache=bool(record.get("cached", False)),
                 telemetry=telemetry,
+                fft_threads=record.get("fft_threads"),
             )
         # failed / quarantined records: both surface as non-ok results,
         # so the engine's rasterized-target fallback covers them.

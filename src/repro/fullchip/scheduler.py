@@ -57,7 +57,7 @@ from ..obs.distributed import (
 )
 from ..opc.checkpoint import CheckpointConfig, latest_checkpoint
 from ..opc.mosaic import MosaicExact, MosaicFast, MosaicResult, MosaicSolver
-from ..xp import validate_backend_spec
+from ..xp import fft_threads_scope, validate_backend_spec
 from .ambit import DEFAULT_ENERGY_TOL, DEFAULT_PROBE_EXTENT_NM, ambit_model_for
 from .tiling import TileSpec
 
@@ -100,6 +100,11 @@ class TileJob:
             environment / numpy-reference chain.  Backends are cached
             per spec and process, so every tile a pool worker solves
             batches through one backend instance.
+        fft_threads: threads each float64 transform of the solve may
+            split across (see :func:`repro.xp.fft_threads_scope`); the
+            engine sets usable cores divided by the solver processes it
+            runs at once.  ``None`` uses every core the solving process
+            may run on.
     """
 
     tile: TileSpec
@@ -117,6 +122,7 @@ class TileJob:
     timeout_s: Optional[float] = None
     telemetry: Optional[WorkerTelemetryConfig] = None
     backend: Optional[str] = None
+    fft_threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.solver_mode not in _SOLVER_MODES:
@@ -130,6 +136,8 @@ class TileJob:
             raise FullChipError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.backend is not None:
             object.__setattr__(self, "backend", validate_backend_spec(self.backend))
+        if self.fft_threads is not None and self.fft_threads < 1:
+            raise FullChipError(f"fft_threads must be >= 1, got {self.fft_threads}")
 
 
 @dataclass
@@ -146,6 +154,8 @@ class TileResult:
         telemetry: compact worker-telemetry summary (None when the job
             ran without telemetry, came from cache, or died before the
             worker could summarize).
+        fft_threads: threads the solve's transforms split across (None
+            when no solve ran: an empty or cached tile).
     """
 
     index: Tuple[int, int]
@@ -156,6 +166,7 @@ class TileResult:
     score_total: float = 0.0
     from_cache: bool = False
     telemetry: Optional[TileTelemetry] = None
+    fft_threads: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -252,8 +263,11 @@ def _solve_once(
     state_dir: Optional[Path],
     obs: Optional[Instrumentation] = None,
     attempt: int = 1,
-) -> MosaicResult:
-    """One solve attempt on the window simulator (runs in the worker)."""
+) -> Tuple[MosaicResult, int]:
+    """One solve attempt on the window simulator (runs in the worker).
+
+    Returns the result and the thread count its transforms split across.
+    """
     # Imported here: processes that never solve a tile (the service
     # front, the CLI's other verbs) skip loading the testing package.
     from ..testing.faults import fire_tile_fault
@@ -282,7 +296,10 @@ def _solve_once(
             job.tile.window_shape, min(model.ambit_px, job.tile.halo_px)
         ),
     )
-    return solver.solve(job.layout, resume_from=resume_from)
+    # Scoped here, not around the retry loop: a budgeted attempt runs on
+    # its own thread, which starts with a fresh context.
+    with fft_threads_scope(job.fft_threads):
+        return solver.solve(job.layout, resume_from=resume_from), sim.xp.fft_threads
 
 
 def solve_tile_job(
@@ -359,6 +376,7 @@ def solve_tile_job(
     last_error: Optional[BaseException] = None
     attempts = 0
     solved: Optional[MosaicResult] = None
+    fft_threads: Optional[int] = None
     tile_span = (
         worker_obs.tracer.span(f"tile:{tile.name}")
         if worker_obs is not None
@@ -370,7 +388,7 @@ def solve_tile_job(
                 attempts = attempt + 1
                 overall_attempt = attempt_base + attempts
                 try:
-                    solved = call_with_budget(
+                    solved, fft_threads = call_with_budget(
                         lambda: _solve_once(
                             job, state_dir, obs=worker_obs, attempt=overall_attempt
                         ),
@@ -433,6 +451,7 @@ def solve_tile_job(
         pv_band_nm2=solved.score.pv_band_nm2,
         score_total=solved.score.total,
         telemetry=telemetry,
+        fft_threads=fft_threads,
     )
     if state_dir is not None:
         _write_done_marker(state_dir, result)

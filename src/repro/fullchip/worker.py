@@ -162,6 +162,7 @@ def process_claim(queue: TileJobQueue, claim: ClaimedJob) -> bool:
         "pv_band_nm2": result.pv_band_nm2,
         "score_total": result.score_total,
         "cached": result.from_cache,
+        "fft_threads": result.fft_threads,
         "telemetry": (
             result.telemetry.as_dict() if result.telemetry is not None else None
         ),

@@ -337,6 +337,7 @@ def render_run_report(run_dir: Union[str, Path]) -> str:
     sections.append(
         f"run: {layout} | {grid[0]}x{grid[1]} tiles | "
         f"{run.get('workers', '?')} worker(s) | "
+        f"{run.get('fft_threads') or '?'} FFT thread(s) in the parent | "
         f"runtime {float(run.get('runtime_s', 0.0)):.1f} s"
     )
     if run.get("trace_id"):
@@ -373,6 +374,7 @@ def render_run_report(run_dir: Union[str, Path]) -> str:
             ColumnSpec("score", 10),
             ColumnSpec("runtime", 9),
             ColumnSpec("pid", 7),
+            ColumnSpec("fft thr", 7),
         ]
     )
     tiles = run.get("tiles", [])
@@ -390,6 +392,7 @@ def render_run_report(run_dir: Union[str, Path]) -> str:
                 f"{float(tile.get('score_total', 0.0)):.0f}" if ok else None,
                 f"{float(tile.get('runtime_s', 0.0)):.1f}s",
                 str(telemetry.get("pid")) if telemetry else None,
+                str(tile["fft_threads"]) if tile.get("fft_threads") else None,
             ]
         )
     sections.append(table.render())

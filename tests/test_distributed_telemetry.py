@@ -186,6 +186,35 @@ class TestAcceptance:
         assert RUN_FILENAME in capsys.readouterr().err
 
 
+class TestFFTThreadRecords:
+    """Each solver process gets its share of the cores, and run.json says so."""
+
+    @pytest.mark.parametrize("executor", ["pool", "queue"])
+    def test_two_workers_split_the_cores(self, tmp_path, monkeypatch, executor):
+        cores = 6
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        run_dir = tmp_path / "run"
+        result = FullChipEngine(
+            _fc_litho(),
+            optimizer=OptimizerConfig(max_iterations=2, use_jump=False),
+            config=FullChipConfig(
+                tile_nm=1024.0,
+                probe_extent_nm=PROBE_NM,
+                workers=2,
+                executor=executor,
+                telemetry_dir=str(run_dir),
+                queue_lease_s=60.0,
+            ),
+        ).solve(synthetic_canvas(2048.0, 1024.0, seed=2))
+        assert result.all_ok
+        share = max(1, cores // 2)
+        assert [r.fft_threads for r in result.tile_results] == [share, share]
+        run = load_run(run_dir)
+        assert run["fft_threads"] == result.fft_threads == cores
+        assert [tile["fft_threads"] for tile in run["tiles"]] == [share, share]
+        assert f"{cores} FFT thread(s) in the parent" in render_run_report(run_dir)
+
+
 class TestNullTwin:
     def test_no_telemetry_dir_leaves_no_artifacts(self, tmp_path):
         engine = FullChipEngine(

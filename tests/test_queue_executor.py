@@ -90,6 +90,16 @@ class TestExecutorFor:
         assert isinstance(queue_exec, QueueWorkerExecutor)
         assert queue_exec.workers == 2
 
+    def test_solvers_at_once(self, tmp_path):
+        # The engine divides the usable cores by this count.
+        assert executor_for("serial", 4).solvers_at_once(3) == 1
+        assert executor_for("pool", 4).solvers_at_once(3) == 3
+        assert executor_for("pool", 2).solvers_at_once(3) == 2
+        assert executor_for("pool", 2).solvers_at_once(1) == 1
+        assert executor_for("queue", 2, run_dir=tmp_path).solvers_at_once(4) == 2
+        # Supervise-only: hand-launched workers take the jobs' value.
+        assert executor_for("queue", 0, run_dir=tmp_path).solvers_at_once(4) == 1
+
     def test_queue_requires_run_dir(self):
         with pytest.raises(FullChipError, match="run directory"):
             executor_for("queue", 2)
