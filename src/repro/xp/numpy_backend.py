@@ -28,6 +28,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import OpticsError
 from .base import ArrayBackend
 
 #: Fewest points a batched float64 transform needs before it is split
@@ -64,7 +65,7 @@ def fft_threads_scope(threads: Optional[int]) -> Iterator[None]:
     each other's count.
     """
     if threads is not None and threads < 1:
-        raise ValueError(f"fft threads must be >= 1, got {threads}")
+        raise OpticsError(f"fft threads must be >= 1, got {threads}")
     token = _SCOPED_THREADS.set(threads)
     try:
         yield
@@ -73,20 +74,12 @@ def fft_threads_scope(threads: Optional[int]) -> Iterator[None]:
 
 
 class NumpyBackend(ArrayBackend):
-    """Host-memory numpy backend at either precision.
-
-    Args:
-        precision: ``"float64"`` (the reference) or ``"float32"``.
-        threads: threads a float64 transform may split across; None
-            follows :func:`fft_threads_scope`, else every usable core.
-    """
+    """Host-memory numpy backend at either precision."""
 
     name = "numpy"
 
-    def __init__(self, precision: str = "float64", threads: Optional[int] = None) -> None:
+    def __init__(self, precision: str = "float64") -> None:
         super().__init__(precision)
-        if threads is not None and threads < 1:
-            raise ValueError(f"fft threads must be >= 1, got {threads}")
         if precision == "float64":
             # np.fft keeps bitwise identity with the legacy path.
             self._fft_mod: Any = np.fft
@@ -94,7 +87,6 @@ class NumpyBackend(ArrayBackend):
             import scipy.fft  # honours single precision end to end
 
             self._fft_mod = scipy.fft
-        self._threads = threads
         # The chunk pool starts on first use, so building a backend
         # starts no thread.
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -104,10 +96,9 @@ class NumpyBackend(ArrayBackend):
 
     @property
     def fft_threads(self) -> int:
+        """The scope's count (:func:`fft_threads_scope`), else every usable core."""
         if self.precision != "float64":
             return 1
-        if self._threads is not None:
-            return self._threads
         scoped = _SCOPED_THREADS.get()
         return scoped if scoped is not None else usable_cores()
 
@@ -167,9 +158,7 @@ class NumpyBackend(ArrayBackend):
         """
         if not isinstance(x, np.ndarray) or x.dtype not in _SPLIT_DTYPES:
             return 1
-        if x.ndim < 2 or x.size < SPLIT_MIN_POINTS:
-            return 1
-        if any(axis % x.ndim == 0 for axis in axes):
+        if x.size < SPLIT_MIN_POINTS or any(axis % x.ndim == 0 for axis in axes):
             return 1
         threads = self.fft_threads
         return threads if 1 < threads <= x.shape[0] else 1
@@ -187,9 +176,11 @@ class NumpyBackend(ArrayBackend):
             pool.submit(fn, x[lo:hi], out=out[lo:hi], **kw)
             for lo, hi in zip(bounds[1:-1], bounds[2:])
         ]
-        fn(x[: bounds[1]], out=out[: bounds[1]], **kw)
-        for future in futures:
-            future.result()
+        try:
+            fn(x[: bounds[1]], out=out[: bounds[1]], **kw)
+        finally:
+            for future in futures:
+                future.result()
         return out
 
     def _executor(self, workers: int) -> ThreadPoolExecutor:

@@ -29,6 +29,7 @@ import gc
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -363,14 +364,15 @@ class TestThreadedTransformPin:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("shape", PIN_SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_transforms_match_numpy(self, shape, kind, threads):
-        backend = NumpyBackend("float64", threads=threads)
+        backend = NumpyBackend("float64")
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
         if kind == "complex":
             x = x + 1j * rng.standard_normal(shape)
         for name, ours, theirs in _numpy_transforms(backend):
             expected = theirs(x)
-            got = ours(x)
+            with fft_threads_scope(threads):
+                got = ours(x)
             assert got.dtype == expected.dtype, name
             assert np.array_equal(got, expected), name
             del expected, got
@@ -378,10 +380,11 @@ class TestThreadedTransformPin:
     @pytest.mark.parametrize("shape", [(16, 256, 256), (16, 372, 372), (16, 27, 256)])
     def test_engine_batches_split_at_two_threads(self, shape):
         # The pin above exercises the split only if these shapes take it.
-        backend = NumpyBackend("float64", threads=2)
+        backend = NumpyBackend("float64")
         x = np.zeros(shape, dtype=np.complex128)
-        assert backend._chunks(x, (-2, -1)) == 2
-        assert backend._chunks(x, (-1,)) == backend._chunks(x, (-2,)) == 2
+        with fft_threads_scope(2):
+            assert backend._chunks(x, (-2, -1)) == 2
+            assert backend._chunks(x, (-1,)) == backend._chunks(x, (-2,)) == 2
 
 
 def _split_transform(backend, x):
@@ -391,7 +394,8 @@ def _split_transform(backend, x):
 
 
 def _fork_child(backend, x, expected, conn):
-    conn.send(np.array_equal(_split_transform(backend, x), expected))
+    with fft_threads_scope(2):
+        conn.send(np.array_equal(_split_transform(backend, x), expected))
     conn.close()
 
 
@@ -405,7 +409,6 @@ class TestTransformThreads:
     def test_default_is_every_usable_core(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert NumpyBackend("float64").fft_threads == 3
-        assert NumpyBackend("float64", threads=1).fft_threads == 1
         assert NumpyBackend("float32").fft_threads == 1
 
     def test_scope_sets_the_count_and_restores_it(self, monkeypatch):
@@ -415,46 +418,62 @@ class TestTransformThreads:
             assert backend.fft_threads == 2
             with fft_threads_scope(None):
                 assert backend.fft_threads == 4
+            assert backend.fft_threads == 2
         assert backend.fft_threads == 4
-        # An explicit count outranks the scope.
-        with fft_threads_scope(2):
-            assert NumpyBackend("float64", threads=3).fft_threads == 3
 
-    def test_bad_counts_rejected(self):
-        with pytest.raises(ValueError):
-            NumpyBackend("float64", threads=0)
-        with pytest.raises(ValueError):
+    def test_bad_count_rejected(self):
+        with pytest.raises(OpticsError):
             with fft_threads_scope(0):
                 pass
 
     def test_what_stays_unsplit(self):
-        backend = NumpyBackend("float64", threads=2)
+        backend = NumpyBackend("float64")
         big = np.zeros((16, 128, 128), dtype=np.complex128)
-        assert backend._chunks(big, (-2, -1)) == 2
-        # One 2-D grid, and a 1-D pass over the batch axis itself.
-        assert backend._chunks(np.zeros((512, 512)), (-2, -1)) == 1
-        assert backend._chunks(big, (0,)) == 1
-        # Too small, fewer entries than threads, single precision input.
-        assert backend._chunks(np.zeros((8, 64, 64)), (-2, -1)) == 1
-        assert backend._chunks(np.zeros((1, 512, 512)), (-2, -1)) == 1
-        assert backend._chunks(big.astype(np.complex64), (-2, -1)) == 1
-        assert NumpyBackend("float32")._chunks(big, (-2, -1)) == 1
-        assert NumpyBackend("float64", threads=1)._chunks(big, (-2, -1)) == 1
+        with fft_threads_scope(2):
+            assert backend._chunks(big, (-2, -1)) == 2
+            # One 2-D grid, and a 1-D pass over the batch axis itself.
+            assert backend._chunks(np.zeros((512, 512)), (-2, -1)) == 1
+            assert backend._chunks(big, (0,)) == 1
+            # Too small, fewer entries than threads, single precision input.
+            assert backend._chunks(np.zeros((8, 64, 64)), (-2, -1)) == 1
+            assert backend._chunks(np.zeros((1, 512, 512)), (-2, -1)) == 1
+            assert backend._chunks(big.astype(np.complex64), (-2, -1)) == 1
+            assert NumpyBackend("float32")._chunks(big, (-2, -1)) == 1
+        with fft_threads_scope(1):
+            assert backend._chunks(big, (-2, -1)) == 1
+
+    def test_import_starts_no_thread_nor_scipy_fft(self):
+        # scipy.fft is for float32 only; the chunk pool starts on demand.
+        code = (
+            "import sys, threading, numpy as np, repro\n"
+            "from repro.xp import get_backend\n"
+            "get_backend('numpy').fft2(np.zeros((4, 16, 16)))\n"
+            "print('scipy.fft' in sys.modules, threading.active_count())\n"
+            "get_backend('numpy:float32')\n"
+            "print('scipy.fft' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "1", "True"]
 
     def test_no_thread_before_the_first_split(self):
-        backend = NumpyBackend("float64", threads=2)
-        backend.fft2(np.zeros((4, 16, 16)))
-        assert backend._pool is None
-        _split_transform(backend, self._stack())
+        backend = NumpyBackend("float64")
+        with fft_threads_scope(2):
+            backend.fft2(np.zeros((4, 16, 16)))
+            assert backend._pool is None
+            _split_transform(backend, self._stack())
         assert backend._pool is not None
 
     def test_forked_child_rebuilds_the_pool(self):
         # A forked child inherits the pool object but none of its
         # threads; work queued on it would never run.
-        backend = NumpyBackend("float64", threads=2)
+        backend = NumpyBackend("float64")
         x = self._stack()
         expected = np.fft.ifft2(x, axes=(-2, -1))
-        assert np.array_equal(_split_transform(backend, x), expected)
+        with fft_threads_scope(2):
+            assert np.array_equal(_split_transform(backend, x), expected)
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_fork_child, args=(backend, x, expected, send))
@@ -472,21 +491,23 @@ class TestTransformThreads:
 
     def test_concurrent_callers_share_one_backend(self):
         # Concurrent service jobs run through one backend singleton.
-        backend = NumpyBackend("float64", threads=2)
+        backend = NumpyBackend("float64")
         inputs = [self._stack(batch=8 + k) for k in range(4)]
-        expected = [NumpyBackend("float64", threads=1).ifft2(x) for x in inputs]
+        with fft_threads_scope(1):
+            expected = [backend.ifft2(x) for x in inputs]
         results = {}
         errors = []
 
         def caller(k):
             try:
-                for _ in range(5):
-                    got = backend.ifft2(inputs[k])
-                    if not np.array_equal(got, expected[k]):
-                        results[k] = False
-                        return
+                with fft_threads_scope(2):
+                    for _ in range(5):
+                        got = _split_transform(backend, inputs[k])
+                        if not np.array_equal(got, expected[k]):
+                            results[k] = False
+                            return
                 results[k] = True
-            except BaseException as exc:  # noqa: BLE001 - reported below
+            except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
         interval = sys.getswitchinterval()

@@ -204,6 +204,7 @@ class TestFFTThreadRecords:
                 executor=executor,
                 telemetry_dir=str(run_dir),
                 queue_lease_s=60.0,
+                backend="numpy",
             ),
         ).solve(synthetic_canvas(2048.0, 1024.0, seed=2))
         assert result.all_ok
