@@ -10,6 +10,9 @@ equivalence gate (bitwise for the reference, 1e-5 relative for
 float32).  Torch/CuPy are timed when installed and skipped silently
 when not — CI's torch-CPU lane exercises that path.
 
+The float64 reference runs its transforms on ``fft_threads`` threads
+(every usable core); ``float64_1thread_s`` times the same loop on one.
+
 Results land in ``BENCH_backend.json`` at the repository root (uploaded
 as a CI artifact and gated against the checked-in baseline by ``python
 -m repro bench-check``: ``*_s`` keys are lower-is-better, ``speedup*``
@@ -25,7 +28,7 @@ import numpy as np
 from repro.opc.mosaic import MosaicFast
 from repro.litho.simulator import LithographySimulator
 from repro.workloads.iccad2013 import load_benchmark
-from repro.xp import ALL_BACKEND_SPECS, backend_available, get_backend
+from repro.xp import ALL_BACKEND_SPECS, backend_available, fft_threads_scope, get_backend
 
 from conftest import bench_scale
 
@@ -97,6 +100,10 @@ def test_backend_speedup(benchmark, bench_config, bench_sim, emit):
 
         times[spec] = _time_loop(sim, mask, corners, contributions)
 
+    with fft_threads_scope(1):
+        float64_1thread_s = _time_loop(
+            _backend_sim(bench_config, bench_sim, "numpy"), mask, corners, contributions
+        )
     speedup_float32 = times["numpy"] / times["numpy:float32"]
 
     benchmark.pedantic(
@@ -116,7 +123,9 @@ def test_backend_speedup(benchmark, bench_config, bench_sim, emit):
         "reps": REPS,
         "rounds": ROUNDS,
         "backends_timed": specs,
+        "fft_threads": get_backend("numpy").fft_threads,
         "float64_s": round(times["numpy"], 4),
+        "float64_1thread_s": round(float64_1thread_s, 4),
         "float32_s": round(times["numpy:float32"], 4),
         "speedup_float32": round(speedup_float32, 3),
         "speedup_floor": SPEEDUP_FLOOR,
@@ -134,6 +143,10 @@ def test_backend_speedup(benchmark, bench_config, bench_sim, emit):
         f"  {spec:16s}: {times[spec]:8.3f} s  ({REPS} forward+adjoint reps)"
         for spec in specs
     ]
+    lines.append(
+        f"  numpy, 1 thread : {float64_1thread_s:8.3f} s  "
+        f"(float64 default: {get_backend('numpy').fft_threads} thread(s))"
+    )
     lines.append(
         f"  float32 speedup: {speedup_float32:.2f}x (floor {SPEEDUP_FLOOR}x)"
     )
