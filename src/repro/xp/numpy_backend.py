@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
@@ -92,7 +91,6 @@ class NumpyBackend(ArrayBackend):
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_pid = 0
         self._pool_size = 0
-        self._pool_lock = threading.Lock()
 
     @property
     def fft_threads(self) -> int:
@@ -188,19 +186,18 @@ class NumpyBackend(ArrayBackend):
 
         Rebuilt in a forked child: the parent's pool threads do not
         exist there, so work queued on the inherited pool would never
-        run.
+        run.  No lock guards the swap: racing callers at most build a
+        spare pool, each still runs its chunks on the pool it got, and
+        a fork cannot inherit a held lock.  A replaced pool is not shut
+        down, since a caller may still be submitting to it; its threads
+        exit once it is freed.
         """
-        with self._pool_lock:
-            pid = os.getpid()
-            if self._pool is None or self._pool_pid != pid or self._pool_size < workers:
-                # A replaced pool is not shut down: a caller may still be
-                # submitting to it.  Its threads exit once it is freed.
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-fft"
-                )
-                self._pool_pid = pid
-                self._pool_size = workers
-            return self._pool
+        pid = os.getpid()
+        pool = self._pool
+        if pool is None or self._pool_pid != pid or self._pool_size < workers:
+            pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-fft")
+            self._pool, self._pool_pid, self._pool_size = pool, pid, workers
+        return pool
 
     def einsum(self, subscripts: str, *operands: Any) -> Any:
         return np.einsum(subscripts, *operands)
