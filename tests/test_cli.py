@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.fullchip import FullChipConfig, FullChipEngine
 
 
 class TestParser:
@@ -118,3 +119,62 @@ class TestCommands:
         assert main(["simulate", "B1", "--trace"]) == 0
         out = capsys.readouterr().out
         assert "forward_evals_total" in out
+
+
+class _PlanReached(Exception):
+    """Raised in place of planning once the engine's config is captured."""
+
+
+def fullchip_config_from(monkeypatch, argv):
+    """The FullChipConfig ``repro fullchip <argv>`` hands its engine."""
+    seen = []
+
+    def plan_for(self, layout):
+        seen.append(self.config)
+        raise _PlanReached
+
+    monkeypatch.setattr(FullChipEngine, "plan_for", plan_for)
+    with pytest.raises(_PlanReached):
+        main(["fullchip", "synth:2048x1024:1", *argv])
+    return seen[0]
+
+
+class TestFullchipConfigMapping:
+    def test_no_flags_build_the_default_config(self, monkeypatch):
+        assert fullchip_config_from(monkeypatch, []) == FullChipConfig()
+
+    def test_every_config_flag_reaches_its_field(self, monkeypatch, tmp_path):
+        argv = [
+            "--tile-nm", "512", "--halo-nm", "96", "--workers", "3",
+            "--executor", "queue", "--mode", "exact",
+            "--backend", "numpy:float32", "--keep-going",
+            "--tile-timeout", "60", "--max-retries", "2",
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+            "--checkpoint-every", "7", "--resume",
+            "--telemetry-dir", str(tmp_path / "run"),
+            "--lease-s", "12", "--max-requeues", "4", "--queue-backoff", "0.25",
+            "--resource-interval", "0.3", "--watchdog-poll", "1.5",
+            "--watchdog-stall-factor", "4", "--watchdog-min-stall", "6",
+        ]
+        assert fullchip_config_from(monkeypatch, argv) == FullChipConfig(
+            tile_nm=512.0,
+            halo_nm=96.0,
+            workers=3,
+            executor="queue",
+            solver_mode="exact",
+            backend="numpy:float32",
+            keep_going=True,
+            tile_timeout_s=60.0,
+            max_retries=2,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            checkpoint_every=7,
+            resume=True,
+            telemetry_dir=str(tmp_path / "run"),
+            queue_lease_s=12.0,
+            queue_max_requeues=4,
+            queue_backoff_s=0.25,
+            resource_interval_s=0.3,
+            watchdog_poll_s=1.5,
+            watchdog_stall_factor=4.0,
+            watchdog_min_stall_s=6.0,
+        )

@@ -73,6 +73,20 @@ SERIAL_PAYLOAD = {
     "executor": "serial",
 }
 
+#: A payload that sets every key to a value other than its default.
+FULL_PAYLOAD = {
+    "layout": "synth:1024x1024:1",
+    "mode": "exact",
+    "scale": "reduced",
+    "tile_nm": 512,
+    "halo_nm": 96.0,
+    "workers": 2,
+    "executor": "pool",
+    "keep_going": True,
+    "use_sraf": False,
+    "backend": "numpy:float32",
+}
+
 #: Field values the payload must refuse rather than coerce.
 MISTYPED_FIELDS = [
     ("use_sraf", "false"),
@@ -194,6 +208,11 @@ class TestCacheKey:
         assert short["backend"] == spelled["backend"] == "numpy"
         assert cache_key_for(short, "1.0") == cache_key_for(spelled, "1.0")
 
+    def test_key_of_the_serial_payload_is_pinned(self):
+        assert cache_key_for(normalize_payload(SERIAL_PAYLOAD), "1.0") == (
+            "9b74049615696ea56bd306e5d11f1aeba5c96f8e0d6762a4d625666e0ace9e5e"
+        )
+
     def test_version_and_fingerprint_pin_the_key(self):
         base = normalize_payload(dict(SERIAL_PAYLOAD))
         assert cache_key_for(base, "1.0") != cache_key_for(base, "2.0")
@@ -241,6 +260,40 @@ class TestNormalizePayload:
     def test_mistyped_field_is_named(self, key, value):
         with pytest.raises(ServiceError, match=key):
             normalize_payload({"layout": "B1", key: value})
+
+
+class TestPayloadMapping:
+    def test_every_payload_key_reaches_its_field(self, tmp_path, monkeypatch):
+        from repro.fullchip import FullChipConfig, FullChipEngine
+
+        seen = []
+
+        def solve(self, layout, **kwargs):
+            seen.append(self.config)
+            raise RuntimeError("config captured")
+
+        monkeypatch.setattr(FullChipEngine, "solve", solve)
+        service = IltService(tiny_service_config(tmp_path / "svc"))
+        try:
+            job = service.submit(dict(FULL_PAYLOAD), trace_id="trace-pin")
+            service.wait(job.id, timeout_s=60)
+        finally:
+            service.close()
+        assert seen == [
+            FullChipConfig(
+                tile_nm=512.0,
+                halo_nm=96.0,
+                workers=2,
+                solver_mode="exact",
+                use_sraf=False,
+                keep_going=True,
+                probe_extent_nm=PROBE_NM,
+                telemetry_dir=str(service.store.run_dir(job.id)),
+                backend="numpy:float32",
+                executor="pool",
+                trace_id="trace-pin",
+            )
+        ]
 
 
 # -- end-to-end: solve, cache, cancel ---------------------------------------
