@@ -50,6 +50,7 @@ from typing import Optional
 
 from .config import LithoConfig, ObservabilityConfig
 from .errors import ReproError
+from .fullchip.engine import FullChipConfig
 from .obs import Instrumentation
 from .geometry.layout import Layout
 from .geometry.raster import rasterize_layout
@@ -103,6 +104,16 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _config_flag(group, flag: str, field: str, **kwargs) -> None:
+    """Add a ``repro fullchip`` flag that sets ``FullChipConfig.<field>``.
+
+    The flag stores under the field's name and takes the field's
+    default, so :func:`cmd_fullchip` builds the config by field name.
+    """
+    default = FullChipConfig.__dataclass_fields__[field].default
+    group.add_argument(flag, dest=field, default=default, **kwargs)
+
+
 def _backend_from_args(args: argparse.Namespace) -> Optional[str]:
     """Validate --backend eagerly so a typo fails before any solve work."""
     spec = getattr(args, "backend", None)
@@ -128,7 +139,6 @@ def _obs_config_from_args(args: argparse.Namespace) -> ObservabilityConfig:
         events_path=getattr(args, "log_json", None),
         timeline=bool(telemetry_dir),
         verbose=getattr(args, "verbose", 0),
-        resource_interval_s=float(getattr(args, "resource_interval", None) or 0.0),
     )
 
 
@@ -328,38 +338,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_fullchip(args: argparse.Namespace) -> int:
-    from .fullchip import FullChipConfig, FullChipEngine
+    from .fullchip import FullChipEngine
 
     _check_output_path("--csv", getattr(args, "csv", None))
     _check_output_path("--seam-csv", getattr(args, "seam_csv", None))
     layout = _load_layout(args.layout)
     config = _config_for(args.scale)
     obs = _setup_observability(args)
-    monitor_kwargs = {}
-    if args.resource_interval is not None:
-        monitor_kwargs["resource_interval_s"] = args.resource_interval
+    fields = FullChipConfig.__dataclass_fields__
     fc_config = FullChipConfig(
-        tile_nm=args.tile_nm,
-        halo_nm=args.halo_nm,
-        workers=args.workers,
-        solver_mode=args.mode,
-        keep_going=args.keep_going,
-        max_retries=args.max_retries,
-        tile_timeout_s=args.tile_timeout,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        telemetry_dir=args.telemetry_dir,
-        watchdog_poll_s=args.watchdog_poll,
-        watchdog_stall_factor=args.watchdog_stall_factor,
-        watchdog_min_stall_s=args.watchdog_min_stall,
-        watchdog_cancel=args.watchdog_cancel,
-        backend=_backend_from_args(args),
-        executor=args.executor,
-        queue_lease_s=args.lease_s,
-        queue_max_requeues=args.max_requeues,
-        queue_backoff_s=args.queue_backoff,
-        **monitor_kwargs,
+        **{name: value for name, value in vars(args).items() if name in fields}
     )
     engine = FullChipEngine(config, config=fc_config, obs=obs)
     plan = engine.plan_for(layout)
@@ -627,14 +615,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
         timeout_s=args.request_timeout,
         retries=args.retries,
     )
-    payload = {
-        "layout": args.layout,
-        "mode": args.mode,
-        "scale": args.scale,
-        "tile_nm": args.tile_nm,
-        "workers": args.workers,
-        "executor": args.executor,
-    }
+    # Only the flags given travel: the service fills in its own defaults.
+    payload = {"layout": args.layout}
+    for key in ("mode", "scale", "tile_nm", "workers", "executor"):
+        if getattr(args, key) is not None:
+            payload[key] = getattr(args, key)
     job = client.submit(payload, trace_id=args.trace_id)
     state = job["state"]
     cached = " (cache hit)" if job.get("cached") else ""
@@ -794,62 +779,62 @@ def build_parser() -> argparse.ArgumentParser:
         "layout",
         help="benchmark name (B1..B10), .glp path, or synth:<W>x<H>[:seed]",
     )
-    fullchip.add_argument(
-        "--tile-nm", type=float, default=1024.0, metavar="NM",
-        help="tile core edge length (default: 1024)",
+    _config_flag(
+        fullchip, "--tile-nm", "tile_nm", type=float, metavar="NM",
+        help="tile core edge length (default: %(default)g)",
     )
-    fullchip.add_argument(
-        "--halo-nm", type=float, default=None, metavar="NM",
+    _config_flag(
+        fullchip, "--halo-nm", "halo_nm", type=float, metavar="NM",
         help="halo thickness; default derives the optical ambit, the "
              "smallest halo keeping tile cores bit-equivalent to a "
              "monolithic simulation",
     )
-    fullchip.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for tile solves (default: 1 = inline)",
+    _config_flag(
+        fullchip, "--workers", "workers", type=int, metavar="N",
+        help="worker processes for tile solves (default: %(default)g = inline)",
     )
-    fullchip.add_argument(
-        "--executor", choices=("pool", "queue", "serial"), default="pool",
+    _config_flag(
+        fullchip, "--executor", "executor", choices=("pool", "queue", "serial"),
         help="tile placement: 'pool' (fork pool; inline when --workers 1), "
              "'serial' (always inline), or 'queue' (durable file-backed "
              "job queue with crash-recovering 'repro worker' processes; "
              "needs --telemetry-dir)",
     )
-    fullchip.add_argument("--mode", choices=("fast", "exact"), default="fast")
+    _config_flag(fullchip, "--mode", "solver_mode", choices=("fast", "exact"))
     fullchip.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
     _add_backend_arg(fullchip)
-    fullchip.add_argument(
-        "--keep-going", action="store_true",
+    _config_flag(
+        fullchip, "--keep-going", "keep_going", action="store_true",
         help="tolerate failed tiles: fall back to the no-OPC target for "
              "their core and continue (exit code 3 when any tile failed)",
     )
-    fullchip.add_argument(
-        "--tile-timeout", type=float, metavar="SECONDS",
+    _config_flag(
+        fullchip, "--tile-timeout", "tile_timeout_s", type=float, metavar="SECONDS",
         help="wall-clock budget per tile solve attempt",
     )
-    fullchip.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="extra solve attempts per tile after a failure (default: 0)",
+    _config_flag(
+        fullchip, "--max-retries", "max_retries", type=int, metavar="N",
+        help="extra solve attempts per tile after a failure (default: %(default)g)",
     )
-    fullchip.add_argument(
-        "--checkpoint-dir", metavar="DIR",
+    _config_flag(
+        fullchip, "--checkpoint-dir", "checkpoint_dir", metavar="DIR",
         help="per-tile state directory: optimizer checkpoints plus done "
              "markers (enables tile-by-tile resume)",
     )
-    fullchip.add_argument(
-        "--checkpoint-every", type=int, default=5, metavar="N",
-        help="iterations between optimizer checkpoints (default: 5)",
+    _config_flag(
+        fullchip, "--checkpoint-every", "checkpoint_every", type=int, metavar="N",
+        help="iterations between optimizer checkpoints (default: %(default)g)",
     )
-    fullchip.add_argument(
-        "--resume", action="store_true",
+    _config_flag(
+        fullchip, "--resume", "resume", action="store_true",
         help="skip tiles with done markers in --checkpoint-dir and resume "
              "partially solved tiles from their newest checkpoint",
     )
     fullchip.add_argument("--csv", help="write the per-tile CSV")
     fullchip.add_argument("--seam-csv", help="write the seam-consistency CSV")
     fullchip.add_argument("--out", help="directory for the NPZ mask bundle")
-    fullchip.add_argument(
-        "--telemetry-dir", metavar="DIR",
+    _config_flag(
+        fullchip, "--telemetry-dir", "telemetry_dir", metavar="DIR",
         help="run directory for telemetry artifacts: per-tile worker "
              "spool files, merged run.json/metrics.json, a Chrome "
              "trace.json, plus the live status.json/heartbeats/resources "
@@ -859,45 +844,44 @@ def build_parser() -> argparse.ArgumentParser:
     queue_group = fullchip.add_argument_group(
         "durable queue (--executor queue)"
     )
-    queue_group.add_argument(
-        "--lease-s", type=float, default=30.0, metavar="SECONDS",
+    _config_flag(
+        queue_group, "--lease-s", "queue_lease_s", type=float, metavar="SECONDS",
         help="lease term per tile claim; a worker that stops heartbeating "
              "loses its lease after this long and the tile is requeued "
-             "(default: 30)",
+             "(default: %(default)g)",
     )
-    queue_group.add_argument(
-        "--max-requeues", type=int, default=2, metavar="N",
+    _config_flag(
+        queue_group, "--max-requeues", "queue_max_requeues", type=int, metavar="N",
         help="lease-expiry requeues tolerated per tile before it is "
-             "quarantined (default: 2)",
+             "quarantined (default: %(default)g)",
     )
-    queue_group.add_argument(
-        "--queue-backoff", type=float, default=0.5, metavar="SECONDS",
+    _config_flag(
+        queue_group, "--queue-backoff", "queue_backoff_s", type=float,
+        metavar="SECONDS",
         help="base re-claim backoff after a lease expiry, doubling per "
-             "requeue (default: 0.5)",
+             "requeue (default: %(default)g)",
     )
     live = fullchip.add_argument_group("live monitoring (needs --telemetry-dir)")
-    live.add_argument(
-        "--resource-interval", type=float, default=None, metavar="SECONDS",
-        help="per-process resource sampling interval (default: 0.5; "
+    _config_flag(
+        live, "--resource-interval", "resource_interval_s", type=float,
+        metavar="SECONDS",
+        help="per-process resource sampling interval (default: %(default)g; "
              "0 disables the samplers)",
     )
-    live.add_argument(
-        "--watchdog-poll", type=float, default=2.0, metavar="SECONDS",
-        help="seconds between worker-liveness polls (default: 2)",
+    _config_flag(
+        live, "--watchdog-poll", "watchdog_poll_s", type=float, metavar="SECONDS",
+        help="seconds between worker-liveness polls (default: %(default)g)",
     )
-    live.add_argument(
-        "--watchdog-stall-factor", type=float, default=8.0, metavar="X",
+    _config_flag(
+        live, "--watchdog-stall-factor", "watchdog_stall_factor", type=float,
+        metavar="X",
         help="flag a worker stalled after X times the median iteration "
-             "time without heartbeat progress (default: 8)",
+             "time without heartbeat progress (default: %(default)g)",
     )
-    live.add_argument(
-        "--watchdog-min-stall", type=float, default=10.0, metavar="SECONDS",
-        help="floor on the stall threshold (default: 10)",
-    )
-    live.add_argument(
-        "--watchdog-cancel", action="store_true",
-        help="kill a stalled worker's pid as soon as it is flagged "
-             "(breaks the pool: remaining in-flight tiles fail too)",
+    _config_flag(
+        live, "--watchdog-min-stall", "watchdog_min_stall_s", type=float,
+        metavar="SECONDS",
+        help="floor on the stall threshold (default: %(default)g)",
     )
     _add_obs_args(fullchip)
     fullchip.set_defaults(func=cmd_fullchip)
@@ -1052,13 +1036,11 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "layout", help="benchmark name (B1..B10) or synth:<W>x<H>[:seed]"
     )
-    submit.add_argument("--mode", choices=("fast", "exact"), default="fast")
-    submit.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
-    submit.add_argument("--tile-nm", type=float, default=1024.0, metavar="NM")
-    submit.add_argument("--workers", type=int, default=1, metavar="N")
-    submit.add_argument(
-        "--executor", choices=("queue", "pool", "serial"), default="queue"
-    )
+    submit.add_argument("--mode", choices=("fast", "exact"))
+    submit.add_argument("--scale", choices=("reduced", "paper"))
+    submit.add_argument("--tile-nm", type=float, metavar="NM")
+    submit.add_argument("--workers", type=int, metavar="N")
+    submit.add_argument("--executor", choices=("queue", "pool", "serial"))
     submit.add_argument("--tenant", default="default")
     submit.add_argument(
         "--wait", action="store_true",

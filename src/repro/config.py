@@ -320,9 +320,6 @@ class ObservabilityConfig:
             :mod:`repro.obs.export`).
         verbose: logging verbosity level (0 = warnings, 1 = info,
             2+ = debug), applied by the CLI via ``logging``.
-        resource_interval_s: sampling interval of the per-process
-            resource timelines (see :mod:`repro.obs.resources`);
-            ``0`` disables resource sampling.
 
     ``ObservabilityConfig()`` is fully disabled — the no-op default the
     rest of the stack assumes, so timing-sensitive benches pay nothing.
@@ -333,15 +330,10 @@ class ObservabilityConfig:
     events_path: Optional[str] = None
     timeline: bool = False
     verbose: int = 0
-    resource_interval_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.verbose < 0:
             raise ProcessError(f"verbose must be >= 0, got {self.verbose}")
-        if self.resource_interval_s < 0:
-            raise ProcessError(
-                f"resource_interval_s must be >= 0, got {self.resource_interval_s}"
-            )
 
     @property
     def any_enabled(self) -> bool:

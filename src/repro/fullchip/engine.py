@@ -21,6 +21,7 @@ stays visible in the tile table instead of leaving a hole in the mask.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,7 +67,7 @@ from .ambit import (
     model_cache_info,
 )
 from .executor import executor_for
-from .scheduler import TileJob, TileResult, run_tile_jobs
+from .scheduler import _SOLVER_MODES, TileJob, TileResult, run_tile_jobs
 from .stitch import SeamReport, build_seam_report, stitch_masks
 from .tiling import TilePlan, build_tile_plan
 
@@ -96,7 +97,6 @@ class FullChipConfig:
             ``checkpoint_dir``.
         energy_tol: ambit retained-energy tolerance.
         probe_extent_nm: ambit probe-grid extent.
-        seam_band_nm: seam-EPE band half width (None = 4 pixels).
         telemetry_dir: run directory receiving telemetry artifacts —
             per-tile spool files (``spool/``), the merged ``run.json`` /
             ``metrics.json``, the Chrome ``trace.json``, and the live
@@ -106,16 +106,11 @@ class FullChipConfig:
         resource_interval_s: sampling interval of the per-process
             resource timelines (parent + every worker); ``0`` disables
             resource sampling.  Only active with a ``telemetry_dir``.
-        heartbeat_min_interval_s: throttle between worker heartbeat
-            rewrites (``0`` = every optimizer iteration).
         watchdog_poll_s: seconds between parent-side liveness polls.
         watchdog_stall_factor: a worker is flagged stalled after this
             many times the observed median iteration time without
             heartbeat progress.
         watchdog_min_stall_s: floor on the stall threshold.
-        watchdog_cancel: kill a flagged worker's pid immediately (see
-            :class:`~repro.obs.live.WatchdogConfig` for the pool-wide
-            consequences); off by default — flag-and-report only.
         backend: array-backend spec for every tile's window simulator
             (see :mod:`repro.xp`; e.g. ``"numpy:float32"``); ``None``
             defers to the optics config / ``REPRO_ARRAY_BACKEND`` /
@@ -135,12 +130,12 @@ class FullChipConfig:
             rasterized-target fallback covers its core).
         queue_backoff_s: queue executor only — base of the exponential
             re-claim backoff after a lease expiry (doubles per requeue).
-        queue_drain_timeout_s: queue executor only — overall wall-clock
-            budget for the queue to drain; None (the default) waits
-            indefinitely (abandonment detection still applies).
         trace_id: request correlation id propagated into worker
             telemetry, queue history, and ``run.json``; None for runs
             with no originating request (CLI solves mint nothing).
+
+    The fields named in :data:`RESULT_FIELDS` decide the stitched mask;
+    the others only place, pace or watch the work.
     """
 
     tile_nm: float = 1024.0
@@ -156,20 +151,16 @@ class FullChipConfig:
     resume: bool = False
     energy_tol: float = DEFAULT_ENERGY_TOL
     probe_extent_nm: float = DEFAULT_PROBE_EXTENT_NM
-    seam_band_nm: Optional[float] = None
     telemetry_dir: Optional[str] = None
     resource_interval_s: float = 0.5
-    heartbeat_min_interval_s: float = 0.0
     watchdog_poll_s: float = 2.0
     watchdog_stall_factor: float = 8.0
     watchdog_min_stall_s: float = 10.0
-    watchdog_cancel: bool = False
     backend: Optional[str] = None
     executor: str = "pool"
     queue_lease_s: float = 30.0
     queue_max_requeues: int = 2
     queue_backoff_s: float = 0.5
-    queue_drain_timeout_s: Optional[float] = None
     trace_id: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -177,33 +168,39 @@ class FullChipConfig:
             from ..xp import validate_backend_spec
 
             object.__setattr__(self, "backend", validate_backend_spec(self.backend))
+        if not (math.isfinite(self.tile_nm) and self.tile_nm > 0):
+            raise FullChipError(
+                f"tile_nm must be a finite number > 0, got {self.tile_nm}"
+            )
+        if self.halo_nm is not None and not (
+            math.isfinite(self.halo_nm) and self.halo_nm >= 0
+        ):
+            raise FullChipError(
+                f"halo_nm must be a finite number >= 0, got {self.halo_nm}"
+            )
         if self.workers < 1:
             raise FullChipError(f"workers must be >= 1, got {self.workers}")
-        if self.halo_nm is not None and self.halo_nm < 0:
-            raise FullChipError(f"halo_nm must be >= 0, got {self.halo_nm}")
+        if self.solver_mode not in _SOLVER_MODES:
+            raise FullChipError(
+                f"solver_mode must be one of {sorted(_SOLVER_MODES)}, "
+                f"got {self.solver_mode!r}"
+            )
+        if self.max_retries < 0:
+            raise FullChipError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.tile_timeout_s is not None and self.tile_timeout_s <= 0:
+            raise FullChipError(
+                f"tile_timeout_s must be positive, got {self.tile_timeout_s}"
+            )
         if self.resume and self.checkpoint_dir is None:
             raise FullChipError("resume needs a checkpoint_dir to resume from")
         if self.resource_interval_s < 0:
             raise FullChipError(
                 f"resource_interval_s must be >= 0, got {self.resource_interval_s}"
             )
-        if self.heartbeat_min_interval_s < 0:
-            raise FullChipError(
-                "heartbeat_min_interval_s must be >= 0, "
-                f"got {self.heartbeat_min_interval_s}"
-            )
         if self.executor not in ("pool", "queue", "serial"):
             raise FullChipError(
                 "executor must be one of ('pool', 'queue', 'serial'), "
                 f"got {self.executor!r}"
-            )
-        if (
-            self.queue_drain_timeout_s is not None
-            and self.queue_drain_timeout_s <= 0
-        ):
-            raise FullChipError(
-                "queue_drain_timeout_s must be positive or None, "
-                f"got {self.queue_drain_timeout_s}"
             )
         if self.executor == "queue":
             if self.telemetry_dir is None:
@@ -216,12 +213,7 @@ class FullChipConfig:
             self.queue_config()
         # WatchdogConfig validates its own knobs; build one eagerly so a
         # bad value fails at config time, not mid-run.
-        WatchdogConfig(
-            poll_s=self.watchdog_poll_s,
-            stall_factor=self.watchdog_stall_factor,
-            min_stall_s=self.watchdog_min_stall_s,
-            cancel=self.watchdog_cancel,
-        )
+        self.watchdog_config()
 
     def watchdog_config(self) -> WatchdogConfig:
         """The liveness-watchdog settings as a :class:`WatchdogConfig`."""
@@ -229,7 +221,6 @@ class FullChipConfig:
             poll_s=self.watchdog_poll_s,
             stall_factor=self.watchdog_stall_factor,
             min_stall_s=self.watchdog_min_stall_s,
-            cancel=self.watchdog_cancel,
         )
 
     def queue_config(self) -> "QueueConfig":
@@ -241,6 +232,21 @@ class FullChipConfig:
             max_requeues=self.queue_max_requeues,
             backoff_s=self.queue_backoff_s,
         )
+
+
+#: The :class:`FullChipConfig` fields that decide the stitched mask.  The
+#: others place, pace or watch the work: a run that solves every tile
+#: gives the same mask bit for bit whatever they are, so the job
+#: service's result cache keys on these alone.
+RESULT_FIELDS = (
+    "tile_nm",
+    "halo_nm",
+    "solver_mode",
+    "use_sraf",
+    "energy_tol",
+    "probe_extent_nm",
+    "backend",
+)
 
 
 @dataclass
@@ -532,7 +538,6 @@ class FullChipEngine:
             telemetry_cfg = WorkerTelemetryConfig(
                 spool_dir=str(run_dir / SPOOL_DIRNAME),
                 heartbeat_dir=str(run_dir / HEARTBEAT_DIRNAME),
-                heartbeat_min_interval_s=cfg.heartbeat_min_interval_s,
                 resource_dir=resource_dir,
                 resource_interval_s=cfg.resource_interval_s,
                 trace_id=cfg.trace_id,
@@ -576,41 +581,40 @@ class FullChipEngine:
                     except Exception as exc:  # noqa: BLE001 - telemetry only
                         logger.warning("parent resource sampler failed: %s", exc)
                         sampler = None
-            executor = executor_for(
-                cfg.executor,
-                cfg.workers,
-                run_dir=cfg.telemetry_dir,
-                queue_config=(
-                    cfg.queue_config() if cfg.executor == "queue" else None
-                ),
-                drain_timeout_s=cfg.queue_drain_timeout_s,
-            )
-            # Solver processes running at once share the cores evenly.
-            fft_threads = max(
-                1, usable_cores() // executor.solvers_at_once(plan.num_tiles)
-            )
-            jobs = [
-                TileJob(
-                    tile=tile,
-                    layout=tile.clip_layout(layout),
-                    litho=self.litho,
-                    optimizer=self.optimizer,
-                    solver_mode=cfg.solver_mode,
-                    use_sraf=cfg.use_sraf,
-                    energy_tol=cfg.energy_tol,
-                    probe_extent_nm=cfg.probe_extent_nm,
-                    checkpoint_dir=cfg.checkpoint_dir,
-                    checkpoint_every=cfg.checkpoint_every,
-                    resume=cfg.resume,
-                    max_retries=cfg.max_retries,
-                    timeout_s=cfg.tile_timeout_s,
-                    telemetry=telemetry_cfg,
-                    backend=cfg.backend,
-                    fft_threads=fft_threads,
-                )
-                for tile in plan
-            ]
             try:
+                executor = executor_for(
+                    cfg.executor,
+                    cfg.workers,
+                    run_dir=cfg.telemetry_dir,
+                    queue_config=(
+                        cfg.queue_config() if cfg.executor == "queue" else None
+                    ),
+                )
+                # Solver processes running at once share the cores evenly.
+                fft_threads = max(
+                    1, usable_cores() // executor.solvers_at_once(plan.num_tiles)
+                )
+                jobs = [
+                    TileJob(
+                        tile=tile,
+                        layout=tile.clip_layout(layout),
+                        litho=self.litho,
+                        optimizer=self.optimizer,
+                        solver_mode=cfg.solver_mode,
+                        use_sraf=cfg.use_sraf,
+                        energy_tol=cfg.energy_tol,
+                        probe_extent_nm=cfg.probe_extent_nm,
+                        checkpoint_dir=cfg.checkpoint_dir,
+                        checkpoint_every=cfg.checkpoint_every,
+                        resume=cfg.resume,
+                        max_retries=cfg.max_retries,
+                        timeout_s=cfg.tile_timeout_s,
+                        telemetry=telemetry_cfg,
+                        backend=cfg.backend,
+                        fft_threads=fft_threads,
+                    )
+                    for tile in plan
+                ]
                 results = run_tile_jobs(
                     jobs,
                     keep_going=cfg.keep_going,
@@ -686,7 +690,6 @@ class FullChipEngine:
                     printed=printed_nominal,
                     layout=chip_layout,
                     grid=chip_grid,
-                    band_nm=cfg.seam_band_nm,
                 )
             self.obs.events.emit(
                 "fullchip",

@@ -169,17 +169,6 @@ class ExecutionContext:
                 )
                 if self.status is not None:
                     self.status.mark_stalled(flag.tile)
-                if self.watchdog.config.cancel:
-                    import signal
-
-                    logger.warning(
-                        "watchdog cancel: killing %s worker pid %d",
-                        flag.tile, flag.pid,
-                    )
-                    try:
-                        os.kill(flag.pid, signal.SIGKILL)
-                    except OSError as exc:
-                        logger.warning("cancel kill failed: %s", exc)
         if self.status is not None:
             self.status.set_counters(self.counter_values())
             self.status.write()
@@ -352,7 +341,6 @@ class QueueWorkerExecutor(TileExecutor):
         poll_s: float = 0.5,
         spawn_workers: bool = True,
         max_respawns: Optional[int] = None,
-        drain_timeout_s: Optional[float] = None,
     ) -> None:
         if workers < 0:
             raise FullChipError(f"queue workers must be >= 0, got {workers}")
@@ -364,7 +352,6 @@ class QueueWorkerExecutor(TileExecutor):
         self.poll_s = poll_s
         self.spawn_workers = spawn_workers
         self.max_respawns = workers if max_respawns is None else max_respawns
-        self.drain_timeout_s = drain_timeout_s
 
     def solvers_at_once(self, num_jobs: int) -> int:
         # Hand-launched workers are not counted: they take the jobs' value.
@@ -531,7 +518,6 @@ class QueueWorkerExecutor(TileExecutor):
         emitted: set = set()
         settled: set = set()
         results: Dict[Tuple[int, int], TileResult] = {}
-        started = time.monotonic()
         try:
             if self.spawn_workers:
                 fleet = [self._spawn_worker() for _ in range(self.workers)]
@@ -576,15 +562,6 @@ class QueueWorkerExecutor(TileExecutor):
                     elif self._abandoned(queue, fleet):
                         self._fail_abandoned(queue, ctx, settled, results)
                         break
-                if (
-                    self.drain_timeout_s is not None
-                    and time.monotonic() - started > self.drain_timeout_s
-                ):
-                    raise FullChipError(
-                        f"queue run exceeded drain timeout "
-                        f"{self.drain_timeout_s:g}s with "
-                        f"{len(queue.tiles()) - len(settled)} tile(s) unsettled"
-                    )
                 time.sleep(self.poll_s)
         finally:
             self._shutdown_fleet(fleet)
@@ -676,7 +653,6 @@ def executor_for(
     workers: int,
     run_dir: Optional[Union[str, Path]] = None,
     queue_config: Optional[QueueConfig] = None,
-    drain_timeout_s: Optional[float] = None,
 ) -> TileExecutor:
     """Build the executor named by ``kind`` (``pool``/``queue``/``serial``).
 
@@ -697,10 +673,7 @@ def executor_for(
                 "(FullChipConfig.telemetry_dir)"
             )
         return QueueWorkerExecutor(
-            run_dir,
-            workers=workers,
-            queue_config=queue_config,
-            drain_timeout_s=drain_timeout_s,
+            run_dir, workers=workers, queue_config=queue_config
         )
     raise FullChipError(
         f"executor must be one of ('pool', 'queue', 'serial'), got {kind!r}"

@@ -543,9 +543,8 @@ def run_tile_jobs(
             behind the CLI's per-tile ``-v`` progress lines.
         watchdog: optional parent-side liveness watchdog; fed the
             heartbeat files between pool completions (the pool wait is
-            bounded by its ``poll_s``).  With ``cancel=True`` a flagged
-            worker's pid is killed — on a fork pool that breaks the
-            pool, so the remaining in-flight tiles settle as failed.
+            bounded by its ``poll_s``).  A flagged worker is reported
+            (a progress line and a stalled status), never killed.
         status: optional live ``status.json`` writer; updated on every
             watchdog poll and tile completion.
         heartbeat_dir: where the tile workers write their heartbeat

@@ -268,7 +268,6 @@ def build_seam_report(
     printed: Optional[np.ndarray] = None,
     layout: Optional[Layout] = None,
     grid: Optional[GridSpec] = None,
-    band_nm: Optional[float] = None,
 ) -> SeamReport:
     """Assemble the full seam-consistency report.
 
@@ -281,9 +280,10 @@ def build_seam_report(
             enables the seam-EPE section.
         layout: the re-based full-chip layout (required with ``printed``).
         grid: the full-chip grid (required with ``printed``).
-        band_nm: seam-band half width (default: 4 pixels).
+
+    The seam band is 4 pixels wide on each side of a seam.
     """
-    band = band_nm if band_nm is not None else 4.0 * plan.pixel_nm
+    band = 4.0 * plan.pixel_nm
     deltas = seam_mask_deltas(plan, masks, stitched)
     seam_epe: Optional[EPEReport] = None
     if printed is not None:

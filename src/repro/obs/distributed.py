@@ -87,9 +87,8 @@ class WorkerTelemetryConfig:
             demand inside the worker).
         timeline: record timestamped slices for Chrome-trace export.
         heartbeat_dir: directory receiving per-tile heartbeat files;
-            None disables worker heartbeats.
-        heartbeat_min_interval_s: throttle between heartbeat rewrites
-            (0 = every optimizer iteration).
+            None disables worker heartbeats (when set, a heartbeat
+            is written every optimizer iteration).
         resource_dir: directory receiving per-pid ``resources_*.jsonl``
             timelines; None disables the worker resource sampler.
         resource_interval_s: sampling interval for the worker resource
@@ -101,7 +100,6 @@ class WorkerTelemetryConfig:
     spool_dir: str
     timeline: bool = True
     heartbeat_dir: Optional[str] = None
-    heartbeat_min_interval_s: float = 0.0
     resource_dir: Optional[str] = None
     resource_interval_s: float = 0.0
     trace_id: Optional[str] = None
@@ -183,7 +181,6 @@ def worker_instrumentation(
         heartbeat = HeartbeatWriter(
             config.heartbeat_dir,
             tile,
-            min_interval_s=config.heartbeat_min_interval_s,
             attempt=attempt,
             on_beat=on_beat,
             trace_id=config.trace_id,

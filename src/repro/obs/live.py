@@ -255,18 +255,11 @@ class WatchdogConfig:
             the observed median iteration time with no progress.
         min_stall_s: floor on the stall threshold — protects fast
             iterations from flagging on scheduler jitter.
-        cancel: kill a stalled/dead worker's pid (SIGKILL) as soon as
-            it is flagged.  On a fork pool this *breaks the pool*: the
-            remaining in-flight tiles fail too (they come back as
-            failed :class:`TileResult`s under ``keep_going``), so
-            cancel trades the rest of the batch for an immediate stop
-            — off by default.
     """
 
     poll_s: float = 2.0
     stall_factor: float = 8.0
     min_stall_s: float = 10.0
-    cancel: bool = False
 
     def __post_init__(self) -> None:
         if self.poll_s <= 0:

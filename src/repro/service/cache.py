@@ -6,7 +6,9 @@ solve recipe (mode, tiling, SRAF seeding, backend), the solver/optics
 configuration fingerprint, and the code version.  Placement knobs that
 provably do not change the result — worker count, executor kind,
 ``keep_going`` — are deliberately excluded, so a resubmit on a
-different fleet still dedups.
+different fleet still dedups.  Which :class:`FullChipConfig` fields
+decide the result is declared once, in
+:data:`~repro.fullchip.engine.RESULT_FIELDS`.
 
 Entries are one JSON file per key under ``<root>/cache/``, pointing at
 the job that produced the result.  Lookups validate that the source
@@ -20,6 +22,7 @@ import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from ..fullchip.engine import RESULT_FIELDS, FullChipConfig
 from ..utils.hashing import canonical_hash
 from ..utils.io import write_json_atomic
 
@@ -27,9 +30,9 @@ __all__ = ["CACHE_DIRNAME", "cache_key_for", "ResultCache"]
 
 CACHE_DIRNAME = "cache"
 
-#: Payload fields that feed the cache key.  Everything else (workers,
-#: executor, keep_going, tenant) is placement/policy, not result.
-_KEY_FIELDS = ("layout", "mode", "scale", "tile_nm", "halo_nm", "use_sraf", "backend")
+#: Config fields that only place, pace or watch the work.  A payload
+#: key naming one stays out of the key; every other key feeds it.
+_PLACEMENT_FIELDS = set(FullChipConfig.__dataclass_fields__) - set(RESULT_FIELDS)
 
 
 def cache_key_for(
@@ -49,7 +52,9 @@ def cache_key_for(
             stock per-scale configs apply; they are already pinned by
             ``scale`` + ``version``).
     """
-    key_payload = {field: payload.get(field) for field in _KEY_FIELDS}
+    key_payload = {
+        key: value for key, value in payload.items() if key not in _PLACEMENT_FIELDS
+    }
     key_payload["version"] = version
     key_payload["config_fingerprint"] = config_fingerprint
     return canonical_hash(key_payload)

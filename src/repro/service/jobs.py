@@ -27,25 +27,27 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import threading
 import time
 import uuid
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union, get_args, get_type_hints
 
 from .._version import __version__
 from ..config import LithoConfig, OptimizerConfig
 from ..errors import (
     FullChipCancelled,
+    FullChipError,
     JobNotFoundError,
     OpticsError,
     RateLimitedError,
     ReproError,
     ServiceError,
 )
+from ..fullchip.engine import RESULT_FIELDS, FullChipConfig, FullChipEngine
 from ..obs import Instrumentation, MetricsRegistry
 from ..obs.events import EventEmitter
 from ..obs.live import HEARTBEAT_DIRNAME, STATUS_FILENAME, read_heartbeats
@@ -54,7 +56,6 @@ from ..obs.trace import new_trace_id
 from ..utils.hashing import canonical_hash
 from ..utils.io import write_json_atomic
 from ..workloads.spec import load_workload, validate_workload_spec
-from ..xp import validate_backend_spec
 from .cache import ResultCache, cache_key_for
 from .ratelimit import RateLimitConfig, TenantLimiter
 
@@ -79,34 +80,61 @@ EVENTS_FILENAME = "events.jsonl"
 JOB_STATES = ("PENDING", "RUNNING", "DONE", "FAILED", "CANCELLED")
 TERMINAL_JOB_STATES = ("DONE", "FAILED", "CANCELLED")
 
-#: The tiled engine's solver registry (scheduler._SOLVER_MODES) — the
-#: service validates eagerly so a bad mode is a 400, not a worker crash.
-_SERVICE_MODES = ("fast", "exact")
 _SCALES = ("reduced", "paper")
-_EXECUTORS = ("queue", "pool", "serial")
 
-_PAYLOAD_DEFAULTS: Dict[str, object] = {
-    "mode": "fast",
-    "scale": "reduced",
-    "tile_nm": 1024.0,
-    "halo_nm": None,
-    "workers": 1,
-    "executor": "queue",
-    "keep_going": False,
-    "use_sraf": True,
-    "backend": None,
+#: The :class:`FullChipConfig` fields a job payload may set, by payload
+#: key.  Each key is its field's name, except ``mode``.
+_PAYLOAD_FIELDS: Dict[str, str] = {
+    "mode": "solver_mode",
+    **{
+        name: name
+        for name in (
+            "tile_nm", "halo_nm", "workers", "executor", "keep_going",
+            "use_sraf", "backend",
+        )
+    },
 }
 
+_PAYLOAD_DEFAULTS: Dict[str, object] = {
+    "scale": "reduced",
+    **{
+        key: FullChipConfig.__dataclass_fields__[name].default
+        for key, name in _PAYLOAD_FIELDS.items()
+    },
+    # Service jobs run on the durable queue unless they ask otherwise.
+    "executor": "queue",
+}
 
-def _finite_number(name: str, value: object) -> float:
-    """``value`` as a float if it is a finite number and not a bool."""
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise ServiceError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+_FIELD_TYPES = get_type_hints(FullChipConfig)
+_JSON_KINDS = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string"
+}
+
+#: Stands in for a job's run directory when a payload is validated at
+#: submission (the queue executor needs one; every service job has one).
+_RUN_DIR_STAND_IN = "<job run directory>"
+
+
+def _json_value(key: str, value: object) -> object:
+    """``value`` if it has the JSON type of the field ``key`` sets.
+
+    The type is the field's annotation, ``Optional`` unwrapped.  A bool
+    is never a number, and a number for a float field becomes a float.
+    """
+    hint = _FIELD_TYPES[_PAYLOAD_FIELDS[key]]
+    kind = next((t for t in get_args(hint) if t is not type(None)), hint)
+    if isinstance(value, bool) == (kind is bool):
+        if kind is not float and isinstance(value, kind):
+            return value
+        if kind is float and isinstance(value, (int, float)):
+            with suppress(OverflowError):
+                return float(value)
+    raise ServiceError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r}")
+
+
+def _config_kwargs(payload: Dict[str, object]) -> Dict[str, object]:
+    """The :class:`FullChipConfig` keywords a normalized payload sets."""
+    return {name: payload[key] for key, name in _PAYLOAD_FIELDS.items()}
 
 
 def normalize_payload(payload: object) -> Dict[str, object]:
@@ -118,8 +146,9 @@ def normalize_payload(payload: object) -> Dict[str, object]:
     eagerly, at submission time — so the HTTP layer can answer 400
     instead of a worker crashing mid-run.  Values are checked, never
     coerced: ``"false"`` is not a boolean and ``2.7`` is not a worker
-    count.  The backend spec is canonicalized, so equivalent spellings
-    share one cache key.
+    count.  Ranges and choices are checked by building the job's
+    :class:`FullChipConfig`.  The backend spec is canonicalized, so
+    equivalent spellings share one cache key.
     """
     if not isinstance(payload, dict):
         raise ServiceError(f"job payload must be a JSON object, got {type(payload).__name__}")
@@ -140,38 +169,22 @@ def normalize_payload(payload: object) -> Dict[str, object]:
     # bundled benchmark or a synth: spec both ends can reconstruct.
     validate_workload_spec(str(normalized["layout"]), allow_paths=False)
     normalized["layout"] = str(normalized["layout"])
-    if normalized["mode"] not in _SERVICE_MODES:
-        raise ServiceError(
-            f"mode must be one of {_SERVICE_MODES}, got {normalized['mode']!r}"
-        )
     if normalized["scale"] not in _SCALES:
         raise ServiceError(
             f"scale must be one of {_SCALES}, got {normalized['scale']!r}"
         )
-    if normalized["executor"] not in _EXECUTORS:
-        raise ServiceError(
-            f"executor must be one of {_EXECUTORS}, got {normalized['executor']!r}"
+    for key in _PAYLOAD_FIELDS:
+        if normalized[key] is not None:
+            normalized[key] = _json_value(key, normalized[key])
+    try:
+        config = FullChipConfig(
+            **_config_kwargs(normalized), telemetry_dir=_RUN_DIR_STAND_IN
         )
-    normalized["tile_nm"] = _finite_number("tile_nm", normalized["tile_nm"])
-    if normalized["tile_nm"] <= 0:
-        raise ServiceError(f"tile_nm must be > 0, got {normalized['tile_nm']}")
-    if normalized["halo_nm"] is not None:
-        normalized["halo_nm"] = _finite_number("halo_nm", normalized["halo_nm"])
-        if normalized["halo_nm"] < 0:
-            raise ServiceError(f"halo_nm must be >= 0, got {normalized['halo_nm']}")
-    workers = normalized["workers"]
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise ServiceError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ServiceError(f"workers must be >= 1, got {workers}")
-    for key in ("keep_going", "use_sraf"):
-        if not isinstance(normalized[key], bool):
-            raise ServiceError(f"{key} must be true or false, got {normalized[key]!r}")
-    if normalized["backend"] is not None:
-        try:
-            normalized["backend"] = validate_backend_spec(normalized["backend"])
-        except OpticsError as exc:
-            raise ServiceError(f"bad backend: {exc}") from exc
+    except OpticsError as exc:
+        raise ServiceError(f"bad backend: {exc}") from exc
+    except FullChipError as exc:
+        raise ServiceError(str(exc)) from exc
+    normalized["backend"] = config.backend
     return normalized
 
 
@@ -191,11 +204,11 @@ class ServiceConfig:
         optimizer: optional optimizer-config override (same rules).
         fullchip_overrides: extra :class:`FullChipConfig` keyword
             overrides applied to every job (e.g. ``probe_extent_nm``,
-            ``queue_lease_s``); result-affecting overrides feed the
-            cache fingerprint like the config overrides do.
+            ``queue_lease_s``).  Only the result-affecting ones (see
+            :data:`~repro.fullchip.engine.RESULT_FIELDS`) feed the cache
+            fingerprint; a key that is not a :class:`FullChipConfig`
+            field is refused.
         poll_s: event-feed and cancel-probe polling interval.
-        drain_timeout_s: safety net handed to the queue executor so an
-            abandoned queue run fails instead of hanging the job thread.
     """
 
     root: Union[str, Path] = "service-root"
@@ -205,13 +218,20 @@ class ServiceConfig:
     optimizer: Optional[OptimizerConfig] = None
     fullchip_overrides: Dict[str, object] = field(default_factory=dict)
     poll_s: float = 0.25
-    drain_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_active < 0:
             raise ServiceError(f"max_active must be >= 0, got {self.max_active}")
         if self.poll_s <= 0:
             raise ServiceError(f"poll_s must be > 0, got {self.poll_s}")
+        unknown = sorted(
+            set(self.fullchip_overrides) - set(FullChipConfig.__dataclass_fields__)
+        )
+        if unknown:
+            raise ServiceError(
+                f"unknown fullchip_overrides key(s) {unknown}; "
+                "each must be a FullChipConfig field"
+            )
 
 
 @dataclass
@@ -334,12 +354,18 @@ class IltService:
         self.started_ts = time.time()
         for job in self.store.recover():
             self._jobs[job.id] = job
+        # Overrides that only place or pace the work leave masks alone.
+        result_overrides = {
+            name: value
+            for name, value in self.config.fullchip_overrides.items()
+            if name in RESULT_FIELDS
+        }
         fingerprint_src = {
             "litho": asdict(self.config.litho) if self.config.litho else None,
             "optimizer": (
                 asdict(self.config.optimizer) if self.config.optimizer else None
             ),
-            "fullchip_overrides": dict(self.config.fullchip_overrides) or None,
+            "fullchip_overrides": result_overrides or None,
         }
         self._config_fingerprint = (
             canonical_hash(fingerprint_src)
@@ -555,29 +581,20 @@ class IltService:
         self._settle(job, "DONE")
 
     def _solve(self, job, run_dir, obs, cancel_event):
-        from ..fullchip import FullChipConfig, FullChipEngine
-
         payload = job.payload
         litho = self.config.litho or (
             LithoConfig.paper()
             if payload["scale"] == "paper"
             else LithoConfig.reduced()
         )
-        fc_kwargs: Dict[str, object] = dict(
-            tile_nm=float(payload["tile_nm"]),
-            halo_nm=payload["halo_nm"],
-            workers=int(payload["workers"]),
-            solver_mode=str(payload["mode"]),
-            use_sraf=bool(payload["use_sraf"]),
-            keep_going=bool(payload["keep_going"]),
-            telemetry_dir=str(run_dir),
-            backend=payload["backend"],
-            executor=str(payload["executor"]),
-            queue_drain_timeout_s=self.config.drain_timeout_s,
+        fc_config = FullChipConfig(
+            **{
+                **_config_kwargs(payload),
+                "telemetry_dir": str(run_dir),
+                **self.config.fullchip_overrides,
+                "trace_id": job.trace_id,
+            }
         )
-        fc_kwargs.update(self.config.fullchip_overrides)
-        fc_kwargs["trace_id"] = job.trace_id
-        fc_config = FullChipConfig(**fc_kwargs)
         engine = FullChipEngine(
             litho, optimizer=self.config.optimizer, config=fc_config, obs=obs
         )

@@ -140,6 +140,11 @@ def fullchip_config_from(monkeypatch, argv):
 
 
 class TestFullchipConfigMapping:
+    def test_non_finite_tile_size_is_a_clean_error(self, capsys):
+        for flag in ("--tile-nm", "--halo-nm"):
+            assert main(["fullchip", "synth:2048x1024:1", flag, "nan"]) == 1
+            assert "error:" in capsys.readouterr().err
+
     def test_no_flags_build_the_default_config(self, monkeypatch):
         assert fullchip_config_from(monkeypatch, []) == FullChipConfig()
 
@@ -178,3 +183,26 @@ class TestFullchipConfigMapping:
             watchdog_stall_factor=4.0,
             watchdog_min_stall_s=6.0,
         )
+
+
+class TestSubmitPayload:
+    def submitted(self, monkeypatch, argv):
+        from repro.service import ServiceClient
+
+        sent = []
+
+        def submit(self, payload, trace_id=None):
+            sent.append(payload)
+            return {"id": "job1", "state": "DONE"}
+
+        monkeypatch.setattr(ServiceClient, "submit", submit)
+        assert main(["submit", "http://127.0.0.1:1", "B1", *argv]) == 0
+        return sent[0]
+
+    def test_flags_left_out_are_left_to_the_service(self, monkeypatch):
+        assert self.submitted(monkeypatch, []) == {"layout": "B1"}
+
+    def test_flags_given_travel(self, monkeypatch):
+        assert self.submitted(
+            monkeypatch, ["--mode", "exact", "--tile-nm", "512", "--workers", "2"]
+        ) == {"layout": "B1", "mode": "exact", "tile_nm": 512.0, "workers": 2}

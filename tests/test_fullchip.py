@@ -8,7 +8,9 @@ the halo is at least the optical ambit, and that the claim has teeth
 (a short halo measurably breaks it).
 """
 
+import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -512,6 +514,42 @@ class TestEngine:
             FullChipConfig(halo_nm=-1.0)
         with pytest.raises(FullChipError):
             FullChipConfig(resume=True)
+        for bad in (
+            dict(solver_mode="heroic"),
+            dict(max_retries=-1),
+            dict(tile_timeout_s=0),
+            dict(tile_nm=0.0),
+            dict(tile_nm=float("nan")),
+            dict(tile_nm=float("inf")),
+            dict(halo_nm=float("nan")),
+            dict(halo_nm=float("inf")),
+        ):
+            with pytest.raises(FullChipError):
+                FullChipConfig(**bad)
+
+    def test_run_failing_before_any_tile_settles_as_failed(
+        self, fc_litho, tmp_path, monkeypatch
+    ):
+        from repro.fullchip import engine as engine_module
+
+        def no_executor(*args, **kwargs):
+            raise FullChipError("no executor")
+
+        def samplers():
+            return {t for t in threading.enumerate() if t.name == "resource-sampler"}
+
+        monkeypatch.setattr(engine_module, "executor_for", no_executor)
+        engine = FullChipEngine(
+            fc_litho,
+            optimizer=_fast_optimizer(),
+            config=_fast_config(telemetry_dir=str(tmp_path)),
+        )
+        before = samplers()
+        with pytest.raises(FullChipError, match="no executor"):
+            engine.solve(synthetic_canvas(1024.0, 1024.0, seed=5))
+        status = json.loads((tmp_path / "status.json").read_text())
+        assert status["state"] == "failed"
+        assert samplers() <= before
 
 
 def test_cell_status_is_reused_from_harness():

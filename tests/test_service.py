@@ -195,6 +195,9 @@ class TestCacheKey:
             {"mode": "exact"},
             {"tile_nm": 512.0},
             {"use_sraf": False},
+            {"halo_nm": 96.0},
+            {"scale": "paper"},
+            {"backend": "numpy:float32"},
         ],
     )
     def test_result_knobs_change_the_key(self, change):
@@ -207,6 +210,26 @@ class TestCacheKey:
         spelled = normalize_payload({**SERIAL_PAYLOAD, "backend": "numpy:float64"})
         assert short["backend"] == spelled["backend"] == "numpy"
         assert cache_key_for(short, "1.0") == cache_key_for(spelled, "1.0")
+
+    def test_every_config_field_is_tagged_result_or_placement(self):
+        # A new FullChipConfig field fails here until it is sorted into
+        # one list or the other: does it change the stitched mask?
+        from repro.fullchip import FullChipConfig
+        from repro.fullchip.engine import RESULT_FIELDS
+
+        result = {
+            "tile_nm", "halo_nm", "solver_mode", "use_sraf", "energy_tol",
+            "probe_extent_nm", "backend",
+        }
+        placement = {
+            "workers", "keep_going", "max_retries", "tile_timeout_s",
+            "checkpoint_dir", "checkpoint_every", "resume", "telemetry_dir",
+            "resource_interval_s", "watchdog_poll_s", "watchdog_stall_factor",
+            "watchdog_min_stall_s", "executor", "queue_lease_s",
+            "queue_max_requeues", "queue_backoff_s", "trace_id",
+        }
+        assert set(RESULT_FIELDS) == result
+        assert set(FullChipConfig.__dataclass_fields__) == result | placement
 
     def test_key_of_the_serial_payload_is_pinned(self):
         assert cache_key_for(normalize_payload(SERIAL_PAYLOAD), "1.0") == (
@@ -294,6 +317,27 @@ class TestPayloadMapping:
                 trace_id="trace-pin",
             )
         ]
+
+
+class TestFullchipOverrides:
+    def fingerprint(self, tmp_path, overrides):
+        config = tiny_service_config(tmp_path / "svc", fullchip_overrides=overrides)
+        return IltService(config)._config_fingerprint
+
+    def test_only_result_overrides_feed_the_fingerprint(self, tmp_path):
+        base = self.fingerprint(tmp_path, {"probe_extent_nm": PROBE_NM})
+        paced = self.fingerprint(
+            tmp_path, {"probe_extent_nm": PROBE_NM, "queue_lease_s": 10.0}
+        )
+        wider = self.fingerprint(tmp_path, {"probe_extent_nm": 2 * PROBE_NM})
+        assert base == paced
+        assert base != wider
+
+    def test_unknown_override_is_refused_at_construction(self, tmp_path):
+        with pytest.raises(ServiceError, match="probe_extnet_nm"):
+            tiny_service_config(
+                tmp_path / "svc", fullchip_overrides={"probe_extnet_nm": PROBE_NM}
+            )
 
 
 # -- end-to-end: solve, cache, cancel ---------------------------------------
