@@ -50,7 +50,7 @@ from typing import Optional
 
 from .config import LithoConfig, ObservabilityConfig
 from .errors import ReproError
-from .fullchip.engine import FullChipConfig
+from .fullchip.engine import FullChipConfig, FullChipEngine
 from .obs import Instrumentation
 from .geometry.layout import Layout
 from .geometry.raster import rasterize_layout
@@ -338,8 +338,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_fullchip(args: argparse.Namespace) -> int:
-    from .fullchip import FullChipEngine
-
     _check_output_path("--csv", getattr(args, "csv", None))
     _check_output_path("--seam-csv", getattr(args, "seam_csv", None))
     layout = _load_layout(args.layout)
