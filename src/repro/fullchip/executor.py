@@ -518,6 +518,7 @@ class QueueWorkerExecutor(TileExecutor):
         emitted: set = set()
         settled: set = set()
         results: Dict[Tuple[int, int], TileResult] = {}
+        grace_s = 10.0
         try:
             if self.spawn_workers:
                 fleet = [self._spawn_worker() for _ in range(self.workers)]
@@ -563,8 +564,13 @@ class QueueWorkerExecutor(TileExecutor):
                         self._fail_abandoned(queue, ctx, settled, results)
                         break
                 time.sleep(self.poll_s)
+        except FullChipCancelled:
+            # Cancelled work is abandoned: stop the fleet at once rather
+            # than let it claim and solve more tiles through the grace.
+            grace_s = 0.0
+            raise
         finally:
-            self._shutdown_fleet(fleet)
+            self._shutdown_fleet(fleet, grace_s=grace_s)
         return results
 
     def _mark_leases_running(
