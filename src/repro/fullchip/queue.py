@@ -73,7 +73,7 @@ import numpy as np
 
 from ..errors import FullChipError
 from ..utils.hashing import stable_json_dumps
-from ..utils.io import write_json_atomic
+from ..utils.io import write_json_atomic, write_npz_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -821,15 +821,7 @@ class TileJobQueue:
 
     @staticmethod
     def _write_result_npz(path: Path, mask: np.ndarray) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, mask=np.asarray(mask, dtype=np.float64))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_npz_atomic(path, mask=np.asarray(mask, dtype=np.float64))
 
     def load_result_mask(self, record: Dict[str, object]) -> Optional[np.ndarray]:
         """The mask committed with a done record (None when absent/torn)."""

@@ -32,7 +32,6 @@ import json
 import logging
 import multiprocessing
 import os
-import tempfile
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -57,6 +56,7 @@ from ..obs.distributed import (
 )
 from ..opc.checkpoint import CheckpointConfig, latest_checkpoint
 from ..opc.mosaic import MosaicExact, MosaicFast, MosaicResult, MosaicSolver
+from ..utils.io import write_npz_atomic
 from ..xp import fft_threads_scope, validate_backend_spec
 from .ambit import DEFAULT_ENERGY_TOL, DEFAULT_PROBE_EXTENT_NM, ambit_model_for
 from .tiling import TileSpec
@@ -181,7 +181,6 @@ def _tile_state_dir(job: TileJob) -> Optional[Path]:
 
 def _write_done_marker(state_dir: Path, result: TileResult) -> None:
     """Atomically persist a completed tile result (tmp + rename)."""
-    state_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "index": list(result.index),
         "status": result.status.status,
@@ -191,15 +190,9 @@ def _write_done_marker(state_dir: Path, result: TileResult) -> None:
         "pv_band_nm2": result.pv_band_nm2,
         "score_total": result.score_total,
     }
-    fd, tmp_name = tempfile.mkstemp(dir=state_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, mask=result.mask, meta_json=json.dumps(meta))
-        os.replace(tmp_name, state_dir / DONE_MARKER)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    write_npz_atomic(
+        state_dir / DONE_MARKER, mask=result.mask, meta_json=json.dumps(meta)
+    )
 
 
 def _load_done_marker(state_dir: Path, tile: TileSpec) -> Optional[TileResult]:

@@ -24,8 +24,6 @@ any mismatch or corruption.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -34,6 +32,7 @@ import numpy as np
 
 from ..errors import CheckpointError
 from ..utils.hashing import stable_json_dumps
+from ..utils.io import write_npz_atomic
 from .history import OptimizationHistory
 
 __all__ = [
@@ -135,12 +134,6 @@ def save_checkpoint(
         CheckpointError: when the directory cannot be created or the
             payload cannot be written.
     """
-    directory = config.path
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CheckpointError(f"cannot create checkpoint dir {directory}: {exc}") from exc
-
     meta: Dict[str, object] = {
         "version": CHECKPOINT_VERSION,
         "iteration": int(state.iteration),
@@ -151,26 +144,18 @@ def save_checkpoint(
         "grid_shape": list(state.grid_shape),
         "history_jsonl": state.history.to_jsonl(),
     }
-    final_path = directory / _checkpoint_name(state.iteration)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=final_path.name + ".tmp-", dir=str(directory)
-    )
+    final_path = config.path / _checkpoint_name(state.iteration)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(
-                handle,
-                params=state.params,
-                adam_m=state.adam_m,
-                adam_v=state.adam_v,
-                best_params=state.best_params,
-                **{_META_KEY: np.array(stable_json_dumps(meta, non_finite="allow"))},
-            )
-        os.replace(tmp_name, final_path)
+        write_npz_atomic(
+            final_path,
+            params=state.params,
+            adam_m=state.adam_m,
+            adam_v=state.adam_v,
+            best_params=state.best_params,
+            **{_META_KEY: np.array(stable_json_dumps(meta, non_finite="allow"))},
+        )
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {final_path}: {exc}") from exc
-    finally:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
     _prune(config)
     return final_path
 

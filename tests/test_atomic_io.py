@@ -16,7 +16,7 @@ import pytest
 from repro.errors import ReproError
 from repro.fullchip.queue import TileJobQueue, load_queue_state
 from repro.obs.live import StatusWriter, load_status
-from repro.utils.io import write_json_atomic, write_text_atomic
+from repro.utils.io import write_json_atomic, write_npz_atomic, write_text_atomic
 
 HAMMER_ROUNDS = 300
 
@@ -83,6 +83,24 @@ class TestWriteAtomic:
         # The old payload survives intact and the temp file is cleaned up.
         assert json.loads(path.read_text()) == {"ok": True}
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_npz_write_failing_midway_keeps_old_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "result.npz"
+        write_npz_atomic(path, mask=np.arange(16.0).reshape(4, 4))
+        old_bytes = path.read_bytes()
+
+        def fail_midway(handle, **arrays):
+            handle.write(old_bytes[: len(old_bytes) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            write_npz_atomic(path, mask=np.ones((4, 4)))
+        monkeypatch.undo()
+        assert path.read_bytes() == old_bytes
+        assert list(tmp_path.iterdir()) == [path]
+        with np.load(path, allow_pickle=False) as archive:
+            assert np.array_equal(archive["mask"], np.arange(16.0).reshape(4, 4))
 
 
 class TestStatusFeedHammer:
