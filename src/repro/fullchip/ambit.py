@@ -36,20 +36,28 @@ arrays and which the imaging engine addresses by reshaping.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import hashlib
 import logging
+import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from .._version import __version__
 from ..config import GridSpec, LithoConfig
-from ..errors import FullChipError
+from ..errors import FullChipError, ReproError
 from ..litho.simulator import LithographySimulator
 from ..obs import Instrumentation
 from ..optics.kernels import SOCSKernels, build_socs_kernels
 from ..optics.tcc import dense_frequency_support
 from ..process.corners import enumerate_corners
+from ..utils.hashing import canonical_hash
+from ..utils.io import write_npz_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +89,11 @@ class FocusStencils:
     @property
     def radius_px(self) -> int:
         return (self.stencils.shape[1] - 1) // 2
+
+
+def _defocus_values(litho: LithoConfig) -> List[float]:
+    """The distinct focus conditions of the process window, ascending."""
+    return sorted({float(c.defocus_nm) for c in enumerate_corners(litho.process)})
 
 
 def _centered_spatial_kernels(kernels: SOCSKernels) -> np.ndarray:
@@ -187,9 +200,7 @@ class AmbitModel:
                 f"decay; increase probe_extent_nm"
             )
         probe_grid = GridSpec(shape=(probe_px, probe_px), pixel_nm=pixel_nm)
-        defocus_values = sorted(
-            {float(c.defocus_nm) for c in enumerate_corners(litho.process)}
-        )
+        defocus_values = _defocus_values(litho)
         raw: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
         ambit_px = 0
         for defocus in defocus_values:
@@ -319,15 +330,31 @@ class WindowSimulator(LithographySimulator):
 # -- shared model cache --------------------------------------------------------
 #
 # Stencil derivation is the expensive one-time step of a full-chip run
-# (one SOCS decomposition per focus on the probe grid).  The cache is
-# module-global on purpose: the scheduler warms it in the parent process
-# *before* creating a fork-based worker pool, so every worker inherits
-# the built model through copy-on-write memory instead of rebuilding it.
+# (one SOCS decomposition per focus on the probe grid).  Two tiers sit in
+# front of it.  The memory tier is module-global on purpose: the
+# scheduler warms it in the parent process *before* creating a
+# fork-based worker pool, so every worker inherits the built model
+# through copy-on-write memory instead of rebuilding it.  The disk tier
+# keeps one ``.npz`` per model under the user's cache directory, so a
+# fresh process (a CLI run, a ``repro worker``, the service) reads the
+# stencils an earlier process derived, bit for bit, instead of deriving
+# them again.
+
+#: Layout of a disk entry; part of every entry's key.
+_ENTRY_FORMAT = 1
+
+#: Sources (relative to the package root) whose code decides the
+#: stencils' bits: editing any of them changes every entry's key.
+_STENCIL_SOURCES = ("optics/*.py", "fullchip/ambit.py", "config.py", "process/corners.py")
 
 _MODEL_CACHE: Dict[Tuple, AmbitModel] = {}
 _MODEL_CACHE_LOCK = threading.Lock()
 _MODEL_CACHE_HITS = 0
 _MODEL_CACHE_MISSES = 0
+_DISK_HITS = 0
+_DISK_MISSES = 0
+#: Cache directories a write failed in; this process no longer uses them.
+_UNWRITABLE_DIRS: Set[Path] = set()
 
 
 @dataclass(frozen=True)
@@ -336,21 +363,210 @@ class ModelCacheInfo:
     :class:`~repro.litho.simulator.KernelCacheInfo`).
 
     Attributes:
-        hits: lookups served from the cache.
-        misses: lookups that triggered a stencil build.
-        entries: models currently cached.
+        hits: lookups served from this process's memory.
+        misses: lookups that were not in memory.
+        entries: models currently held in memory.
+        disk_hits: memory misses served from a disk entry.
+        disk_misses: memory misses the disk could not serve (no entry, a
+            torn, alien or misshapen one, or no usable cache directory),
+            each of which built the model.
     """
 
     hits: int
     misses: int
     entries: int
+    disk_hits: int = 0
+    disk_misses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "entries": self.entries}
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": self.entries,
+            "disk_hits": self.disk_hits,
+            "disk_misses": self.disk_misses,
+        }
 
 
 def _model_key(litho: LithoConfig, energy_tol: float, probe_extent_nm: float) -> Tuple:
     return (litho.grid.pixel_nm, litho.optics, litho.process, energy_tol, probe_extent_nm)
+
+
+def model_cache_dir() -> Path:
+    """Where disk entries live: ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``."""
+    base = os.environ.get("XDG_CACHE_HOME")
+    return (Path(base) if base else Path.home() / ".cache") / "repro"
+
+
+def _source_fingerprint(root: Path) -> str:
+    """SHA-256 over the names and bytes of the stencil sources under ``root``."""
+    digest = hashlib.sha256()
+    for pattern in _STENCIL_SOURCES:
+        for path in sorted(root.glob(pattern)):
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """Fingerprint of this package's stencil code, as it is on disk."""
+    return _source_fingerprint(Path(__file__).resolve().parent.parent)
+
+
+def _disk_key(litho: LithoConfig, energy_tol: float, probe_extent_nm: float) -> str:
+    """Content address of a model: everything :func:`_model_key` holds,
+    plus the package and numpy versions and the code fingerprint."""
+    return canonical_hash(
+        {
+            "format": _ENTRY_FORMAT,
+            "pixel_nm": litho.grid.pixel_nm,
+            "optics": dataclasses.asdict(litho.optics),
+            "process": dataclasses.asdict(litho.process),
+            "energy_tol": energy_tol,
+            "probe_extent_nm": probe_extent_nm,
+            "version": __version__,
+            "numpy": np.__version__,
+            "code": code_fingerprint(),
+        }
+    )
+
+
+def _entry_arrays(model: AmbitModel, key: str) -> Dict[str, np.ndarray]:
+    arrays = {
+        "key": np.array(key),
+        "ambit_px": np.array(model.ambit_px, dtype=np.int64),
+        "defocus_nm": np.array(model.defocus_values_nm, dtype=np.float64),
+    }
+    for i, defocus in enumerate(model.defocus_values_nm):
+        focus = model.focus_stencils[defocus]
+        arrays[f"weights_{i}"] = focus.weights
+        arrays[f"stencils_{i}"] = focus.stencils
+    return arrays
+
+
+def _model_from_arrays(
+    arrays: Dict[str, np.ndarray],
+    key: str,
+    litho: LithoConfig,
+    energy_tol: float,
+    probe_extent_nm: float,
+) -> AmbitModel:
+    """Rebuild a model from an entry's arrays; ValueError unless it is
+    exactly the entry ``key`` names, with every array shaped as built."""
+    if str(arrays["key"]) != key:
+        raise ValueError("entry holds another model (key mismatch)")
+    ambit = arrays["ambit_px"]
+    if ambit.shape != () or ambit.dtype != np.int64 or int(ambit) < 0:
+        raise ValueError(f"bad ambit_px {ambit!r}")
+    ambit_px = int(ambit)
+    defocus_values = arrays["defocus_nm"]
+    if defocus_values.dtype != np.float64 or defocus_values.ndim != 1:
+        raise ValueError(f"bad defocus_nm {defocus_values!r}")
+    diameter = 2 * ambit_px + 1
+    focus_stencils: Dict[float, FocusStencils] = {}
+    for i, defocus in enumerate(defocus_values.tolist()):
+        weights = arrays[f"weights_{i}"]
+        stencils = arrays[f"stencils_{i}"]
+        if (
+            weights.dtype != np.float64
+            or weights.ndim != 1
+            or stencils.dtype != np.complex128
+            or stencils.shape != (len(weights), diameter, diameter)
+        ):
+            raise ValueError(
+                f"focus {defocus} nm: weights {weights.dtype}{weights.shape}, "
+                f"stencils {stencils.dtype}{stencils.shape} for ambit {ambit_px} px"
+            )
+        focus_stencils[defocus] = FocusStencils(
+            defocus_nm=defocus, weights=weights, stencils=stencils
+        )
+    if list(focus_stencils) != _defocus_values(litho):
+        raise ValueError(f"entry covers defocus {list(focus_stencils)}")
+    return AmbitModel(
+        litho=litho,
+        energy_tol=energy_tol,
+        probe_extent_nm=probe_extent_nm,
+        ambit_px=ambit_px,
+        focus_stencils=focus_stencils,
+    )
+
+
+def _load_entry(
+    path: Path,
+    key: str,
+    litho: LithoConfig,
+    energy_tol: float,
+    probe_extent_nm: float,
+) -> Optional[AmbitModel]:
+    """The model stored at ``path``; None for anything but a sound entry."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        return _model_from_arrays(arrays, key, litho, energy_tol, probe_extent_nm)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except Exception as exc:  # noqa: BLE001 - torn, alien or misshapen: rebuild
+        logger.warning("ignoring ambit model cache entry %s: %s", path, exc)
+        return None
+
+
+def _store_entry(directory: Path, path: Path, key: str, model: AmbitModel) -> None:
+    try:
+        write_npz_atomic(path, **_entry_arrays(model, key))
+    except OSError as exc:
+        _UNWRITABLE_DIRS.add(directory)
+        logger.warning(
+            "cannot write the ambit model cache in %s (%s); this process "
+            "keeps its models in memory only",
+            directory, exc,
+        )
+
+
+def _from_disk_or_build(
+    litho: LithoConfig, energy_tol: float, probe_extent_nm: float
+) -> Tuple[AmbitModel, str]:
+    """Serve a memory miss: read the disk entry, else build and write it."""
+    global _DISK_HITS, _DISK_MISSES
+    directory = model_cache_dir()
+    try:
+        key: Optional[str] = _disk_key(litho, energy_tol, probe_extent_nm)
+    except ReproError:  # a non-finite setting has no address; build names it
+        key = None
+    path: Optional[Path] = None
+    if key is not None and directory not in _UNWRITABLE_DIRS:
+        path = directory / f"ambit-{key}.npz"
+        model = _load_entry(path, key, litho, energy_tol, probe_extent_nm)
+        if model is not None:
+            _DISK_HITS += 1
+            logger.info("ambit model read from %s", path)
+            return model, "disk"
+    _DISK_MISSES += 1
+    model = AmbitModel.build(litho, energy_tol=energy_tol, probe_extent_nm=probe_extent_nm)
+    if path is not None:
+        _store_entry(directory, path, key, model)
+    return model, "built"
+
+
+def lookup_ambit_model(
+    litho: LithoConfig,
+    energy_tol: float = DEFAULT_ENERGY_TOL,
+    probe_extent_nm: float = DEFAULT_PROBE_EXTENT_NM,
+) -> Tuple[AmbitModel, str]:
+    """:func:`ambit_model_for`, plus the tier that served it:
+    ``"memory"`` (this process held it), ``"disk"`` (read from an entry)
+    or ``"built"`` (derived by :meth:`AmbitModel.build`)."""
+    global _MODEL_CACHE_HITS, _MODEL_CACHE_MISSES
+    key = _model_key(litho, energy_tol, probe_extent_nm)
+    with _MODEL_CACHE_LOCK:
+        model = _MODEL_CACHE.get(key)
+        if model is not None:
+            _MODEL_CACHE_HITS += 1
+            return model, "memory"
+        _MODEL_CACHE_MISSES += 1
+        model, tier = _from_disk_or_build(litho, energy_tol, probe_extent_nm)
+        _MODEL_CACHE[key] = model
+        return model, tier
 
 
 def ambit_model_for(
@@ -362,21 +578,12 @@ def ambit_model_for(
 
     Keyed on everything that shapes the stencils: pixel size, optics,
     process window, tolerance and probe extent (resist and grid shape do
-    not participate).
+    not participate).  A model not yet in this process's memory is read
+    from the disk cache (:func:`model_cache_dir`) when an entry for the
+    same inputs, package and numpy versions and stencil code exists;
+    otherwise it is built and written there for the next process.
     """
-    global _MODEL_CACHE_HITS, _MODEL_CACHE_MISSES
-    key = _model_key(litho, energy_tol, probe_extent_nm)
-    with _MODEL_CACHE_LOCK:
-        model = _MODEL_CACHE.get(key)
-        if model is None:
-            _MODEL_CACHE_MISSES += 1
-            model = AmbitModel.build(
-                litho, energy_tol=energy_tol, probe_extent_nm=probe_extent_nm
-            )
-            _MODEL_CACHE[key] = model
-        else:
-            _MODEL_CACHE_HITS += 1
-        return model
+    return lookup_ambit_model(litho, energy_tol, probe_extent_nm)[0]
 
 
 def model_cache_info() -> ModelCacheInfo:
@@ -391,4 +598,6 @@ def model_cache_info() -> ModelCacheInfo:
             hits=_MODEL_CACHE_HITS,
             misses=_MODEL_CACHE_MISSES,
             entries=len(_MODEL_CACHE),
+            disk_hits=_DISK_HITS,
+            disk_misses=_DISK_MISSES,
         )

@@ -63,7 +63,7 @@ from .ambit import (
     DEFAULT_ENERGY_TOL,
     DEFAULT_PROBE_EXTENT_NM,
     AmbitModel,
-    ambit_model_for,
+    lookup_ambit_model,
     model_cache_info,
 )
 from .executor import executor_for
@@ -266,6 +266,8 @@ class FullChipResult:
             when telemetry was off).
         fft_threads: threads the chip evaluation's transforms split
             across, in this process.
+        model_tier: where this process found the ambit model (see
+            :attr:`FullChipEngine.model_tier`).
     """
 
     layout_name: str
@@ -277,6 +279,7 @@ class FullChipResult:
     runtime_s: float
     telemetry_dir: Optional[Path] = None
     fft_threads: Optional[int] = None
+    model_tier: Optional[str] = None
 
     @property
     def all_ok(self) -> bool:
@@ -323,7 +326,8 @@ class FullChipResult:
             f"chip: {self.score} | seams: max|dM|="
             f"{self.seam_report.max_abs_mask_delta:.3e}, "
             f"{self.seam_report.seam_epe_violations} seam EPE violation(s)"
-            f" | ambit cache: {cache.hits} hit(s), {cache.misses} miss(es), "
+            f" | ambit model: {self.model_tier or '?'}; cache: {cache.hits} "
+            f"hit(s), {cache.misses} miss(es), {cache.disk_hits} from disk, "
             f"{cache.entries} model(s)"
         )
         return table.render() + "\n" + summary
@@ -377,15 +381,22 @@ class FullChipEngine:
         self.optimizer = optimizer
         self.config = config or FullChipConfig()
         self.obs = obs or Instrumentation.disabled()
+        #: The tier that served this engine's first model lookup:
+        #: ``"memory"`` (already in this process), ``"disk"`` or
+        #: ``"built"``; None until the model is first needed.
+        self.model_tier: Optional[str] = None
 
     @property
     def model(self) -> AmbitModel:
-        """The shared ambit model (built on first access)."""
-        return ambit_model_for(
+        """The shared ambit model (read or built on first access)."""
+        model, tier = lookup_ambit_model(
             self.litho,
             energy_tol=self.config.energy_tol,
             probe_extent_nm=self.config.probe_extent_nm,
         )
+        if self.model_tier is None:
+            self.model_tier = tier
+        return model
 
     @property
     def halo_nm(self) -> float:
@@ -708,6 +719,7 @@ class FullChipEngine:
             score=score,
             runtime_s=total.elapsed,
             fft_threads=sim.xp.fft_threads,
+            model_tier=self.model_tier,
         )
         if status is not None:
             status.finalize(
@@ -754,6 +766,7 @@ class FullChipEngine:
                     "cached": r.from_cache,
                     "error": r.status.error,
                     "fft_threads": r.fft_threads,
+                    "model_tier": r.model_tier,
                     "telemetry": r.telemetry.as_dict() if r.telemetry else None,
                 }
             )
@@ -782,6 +795,7 @@ class FullChipEngine:
                 "max_abs_mask_delta": result.seam_report.max_abs_mask_delta,
                 "seam_epe_violations": result.seam_report.seam_epe_violations,
             },
+            "model_tier": result.model_tier,
             "ambit_cache": model_cache_info().as_dict(),
             "tiles": tiles,
             "span_stats": [

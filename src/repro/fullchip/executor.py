@@ -473,6 +473,7 @@ class QueueWorkerExecutor(TileExecutor):
                 from_cache=bool(record.get("cached", False)),
                 telemetry=telemetry,
                 fft_threads=record.get("fft_threads"),
+                model_tier=record.get("model_tier"),
             )
         # failed / quarantined records: both surface as non-ok results,
         # so the engine's rasterized-target fallback covers them.

@@ -58,7 +58,12 @@ from ..opc.checkpoint import CheckpointConfig, latest_checkpoint
 from ..opc.mosaic import MosaicExact, MosaicFast, MosaicResult, MosaicSolver
 from ..utils.io import write_npz_atomic
 from ..xp import fft_threads_scope, validate_backend_spec
-from .ambit import DEFAULT_ENERGY_TOL, DEFAULT_PROBE_EXTENT_NM, ambit_model_for
+from .ambit import (
+    DEFAULT_ENERGY_TOL,
+    DEFAULT_PROBE_EXTENT_NM,
+    ambit_model_for,
+    lookup_ambit_model,
+)
 from .tiling import TileSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (live imports us not)
@@ -156,6 +161,9 @@ class TileResult:
             worker could summarize).
         fft_threads: threads the solve's transforms split across (None
             when no solve ran: an empty or cached tile).
+        model_tier: where the solving process found the ambit model:
+            ``"memory"``, ``"disk"`` or ``"built"`` (None when no solve
+            ran).
     """
 
     index: Tuple[int, int]
@@ -167,6 +175,7 @@ class TileResult:
     from_cache: bool = False
     telemetry: Optional[TileTelemetry] = None
     fft_threads: Optional[int] = None
+    model_tier: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -256,10 +265,11 @@ def _solve_once(
     state_dir: Optional[Path],
     obs: Optional[Instrumentation] = None,
     attempt: int = 1,
-) -> Tuple[MosaicResult, int]:
+) -> Tuple[MosaicResult, int, str]:
     """One solve attempt on the window simulator (runs in the worker).
 
-    Returns the result and the thread count its transforms split across.
+    Returns the result, the thread count its transforms split across and
+    the tier that served the ambit model.
     """
     # Imported here: processes that never solve a tile (the service
     # front, the CLI's other verbs) skip loading the testing package.
@@ -268,7 +278,7 @@ def _solve_once(
     fire_tile_fault(
         job.tile.index, attempt, obs.heartbeat if obs is not None else None
     )
-    model = ambit_model_for(
+    model, model_tier = lookup_ambit_model(
         job.litho, energy_tol=job.energy_tol, probe_extent_nm=job.probe_extent_nm
     )
     sim = model.simulator_for(job.tile.window_shape, obs=obs, backend=job.backend)
@@ -292,7 +302,8 @@ def _solve_once(
     # Scoped here, not around the retry loop: a budgeted attempt runs on
     # its own thread, which starts with a fresh context.
     with fft_threads_scope(job.fft_threads):
-        return solver.solve(job.layout, resume_from=resume_from), sim.xp.fft_threads
+        solved = solver.solve(job.layout, resume_from=resume_from)
+        return solved, sim.xp.fft_threads, model_tier
 
 
 def solve_tile_job(
@@ -370,6 +381,7 @@ def solve_tile_job(
     attempts = 0
     solved: Optional[MosaicResult] = None
     fft_threads: Optional[int] = None
+    model_tier: Optional[str] = None
     tile_span = (
         worker_obs.tracer.span(f"tile:{tile.name}")
         if worker_obs is not None
@@ -381,7 +393,7 @@ def solve_tile_job(
                 attempts = attempt + 1
                 overall_attempt = attempt_base + attempts
                 try:
-                    solved, fft_threads = call_with_budget(
+                    solved, fft_threads, model_tier = call_with_budget(
                         lambda: _solve_once(
                             job, state_dir, obs=worker_obs, attempt=overall_attempt
                         ),
@@ -445,6 +457,7 @@ def solve_tile_job(
         score_total=solved.score.total,
         telemetry=telemetry,
         fft_threads=fft_threads,
+        model_tier=model_tier,
     )
     if state_dir is not None:
         _write_done_marker(state_dir, result)

@@ -163,6 +163,7 @@ def process_claim(queue: TileJobQueue, claim: ClaimedJob) -> bool:
         "score_total": result.score_total,
         "cached": result.from_cache,
         "fft_threads": result.fft_threads,
+        "model_tier": result.model_tier,
         "telemetry": (
             result.telemetry.as_dict() if result.telemetry is not None else None
         ),

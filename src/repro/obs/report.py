@@ -358,8 +358,11 @@ def render_run_report(run_dir: Union[str, Path]) -> str:
     ambit = run.get("ambit_cache") or {}
     if ambit:
         sections.append(
+            f"ambit model: {run.get('model_tier') or '?'} in the parent | "
             f"ambit model cache: hits={ambit.get('hits', 0)} "
-            f"misses={ambit.get('misses', 0)} entries={ambit.get('entries', 0)}"
+            f"misses={ambit.get('misses', 0)} entries={ambit.get('entries', 0)} "
+            f"disk_hits={ambit.get('disk_hits', 0)} "
+            f"disk_misses={ambit.get('disk_misses', 0)}"
         )
 
     # Per-tile table.
@@ -375,6 +378,7 @@ def render_run_report(run_dir: Union[str, Path]) -> str:
             ColumnSpec("runtime", 9),
             ColumnSpec("pid", 7),
             ColumnSpec("fft thr", 7),
+            ColumnSpec("model", 6),
         ]
     )
     tiles = run.get("tiles", [])
@@ -393,6 +397,7 @@ def render_run_report(run_dir: Union[str, Path]) -> str:
                 f"{float(tile.get('runtime_s', 0.0)):.1f}s",
                 str(telemetry.get("pid")) if telemetry else None,
                 str(tile["fft_threads"]) if tile.get("fft_threads") else None,
+                tile.get("model_tier"),
             ]
         )
     sections.append(table.render())

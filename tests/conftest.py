@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,23 @@ from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
 from repro.litho.simulator import LithographySimulator
 from repro.xp import ALL_BACKEND_SPECS, backend_available, get_backend
+
+
+@pytest.fixture(scope="session", autouse=True)
+def isolated_model_cache(tmp_path_factory):
+    """Keep the ambit-model disk cache in a per-session temp directory.
+
+    Set in ``os.environ`` so the processes the suite spawns (queue
+    workers, CLI runs) share it, and no test reads or writes the
+    developer's own ``~/.cache/repro``.
+    """
+    previous = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("xdg_cache"))
+    yield
+    if previous is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = previous
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,35 @@
-"""The ambit model across processes: a second process gets the first's bits.
+"""The ambit model's memory and disk tiers.
 
-Two fresh interpreters share one cache directory.  Each derives the
-reduced-scale ambit model and a 2-iteration one-tile stitched mask and
-saves them; the second process's stencils, weights, ambit and mask must
-equal the first's bit for bit, however the model reached it.
+The pin: two fresh interpreters share one cache directory.  Each derives
+the reduced-scale ambit model and a 2-iteration one-tile stitched mask
+and saves them; the second process's stencils, weights, ambit and mask
+must equal the first's bit for bit, however the model reached it.
+
+The tier tests: a disk hit equals a cold build bit for bit, every key
+input is a miss, a bad entry or an unwritable directory is a miss and
+never a crash or a wrong model, and run.json and the report say which
+tier served the parent and each tile's solver.
 """
 
 from __future__ import annotations
 
+import json
+import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from repro.config import GridSpec, LithoConfig, OpticsConfig, OptimizerConfig, ProcessConfig, ResistConfig
+from repro.errors import FullChipError
+from repro.fullchip import FullChipConfig, FullChipEngine, ambit, model_cache_info
+from repro.fullchip.ambit import AmbitModel, lookup_ambit_model
+from repro.obs.report import load_run, render_run_report
+from repro.workloads.generator import synthetic_canvas
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -81,3 +96,329 @@ class TestModelAcrossProcessesPin:
         for key in first:
             assert first[key].dtype == second[key].dtype, key
             assert np.array_equal(first[key], second[key]), key
+
+
+# -- the disk tier ---------------------------------------------------------------
+
+PROBE_NM = 1024.0
+
+
+def tiny_litho(**changes) -> LithoConfig:
+    """16 nm/px, 4 kernels: a model that builds in a blink."""
+    return LithoConfig(
+        grid=GridSpec(shape=(64, 64), pixel_nm=changes.pop("pixel_nm", 16.0)),
+        optics=changes.pop("optics", OpticsConfig(num_kernels=4)),
+        resist=ResistConfig(),
+        process=changes.pop("process", ProcessConfig()),
+    )
+
+
+@pytest.fixture()
+def cache_dir(tmp_path, monkeypatch) -> Path:
+    """An empty disk tier and an empty memory tier for one test."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(ambit, "_MODEL_CACHE", {})
+    monkeypatch.setattr(ambit, "_UNWRITABLE_DIRS", set())
+    return tmp_path / "xdg" / "repro"
+
+
+def forget_memory(monkeypatch) -> None:
+    """Drop the memory tier, as a fresh process starts without it."""
+    monkeypatch.setattr(ambit, "_MODEL_CACHE", {})
+
+
+def assert_same_model(actual: AmbitModel, expected: AmbitModel) -> None:
+    assert actual.ambit_px == expected.ambit_px
+    assert list(actual.focus_stencils) == list(expected.focus_stencils)
+    for defocus, focus in expected.focus_stencils.items():
+        got = actual.focus_stencils[defocus]
+        assert got.defocus_nm == focus.defocus_nm
+        for name in ("weights", "stencils"):
+            a, b = getattr(got, name), getattr(focus, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), f"{name} at {defocus} nm"
+
+
+def entries(directory: Path):
+    return sorted(directory.glob("ambit-*.npz"))
+
+
+class TestDiskTier:
+    def test_cold_build_equals_disk_hit_bitwise(self, cache_dir, monkeypatch, rng):
+        litho = tiny_litho()
+        before = model_cache_info()
+        built, tier = lookup_ambit_model(litho, probe_extent_nm=PROBE_NM)
+        assert tier == "built"
+        assert len(entries(cache_dir)) == 1
+        forget_memory(monkeypatch)
+        loaded, tier = lookup_ambit_model(litho, probe_extent_nm=PROBE_NM)
+        assert tier == "disk"
+        assert loaded is not built
+        assert_same_model(loaded, built)
+        mask = (rng.random((48, 48)) > 0.5).astype(np.float64)
+        assert np.array_equal(
+            loaded.simulator_for((48, 48)).aerial(mask),
+            built.simulator_for((48, 48)).aerial(mask),
+        )
+        again, tier = lookup_ambit_model(litho, probe_extent_nm=PROBE_NM)
+        assert again is loaded and tier == "memory"
+        after = model_cache_info()
+        assert after.misses - before.misses == 2
+        assert after.hits - before.hits == 1
+        assert after.disk_misses - before.disk_misses == 1
+        assert after.disk_hits - before.disk_hits == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "pixel_nm", "optics", "process", "energy_tol", "probe_extent_nm",
+            "version", "code",
+        ],
+    )
+    def test_each_key_input_is_a_disk_miss(self, cache_dir, monkeypatch, change):
+        base = dict(litho=tiny_litho(), energy_tol=2e-3, probe_extent_nm=PROBE_NM)
+        base_model, _ = lookup_ambit_model(**base)
+        varied = dict(base)
+        if change == "pixel_nm":
+            varied["litho"] = tiny_litho(pixel_nm=8.0)
+        elif change == "optics":
+            varied["litho"] = tiny_litho(optics=OpticsConfig(num_kernels=4, sigma_outer=0.85))
+        elif change == "process":
+            varied["litho"] = tiny_litho(process=ProcessConfig(defocus_range_nm=20.0))
+        elif change == "energy_tol":
+            varied["energy_tol"] = 5e-3
+        elif change == "probe_extent_nm":
+            varied["probe_extent_nm"] = 2 * PROBE_NM
+        elif change == "version":
+            monkeypatch.setattr(ambit, "__version__", "0.0.0-edited")
+        else:
+            monkeypatch.setattr(ambit, "code_fingerprint", lambda: "edited")
+        forget_memory(monkeypatch)
+        model, tier = lookup_ambit_model(**varied)
+        assert tier == "built"
+        assert len(entries(cache_dir)) == 2
+        if change in ("version", "code"):
+            assert_same_model(model, base_model)
+        # The earlier entry is still there for the inputs it was built for.
+        monkeypatch.undo()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache_dir.parent))
+        forget_memory(monkeypatch)
+        assert lookup_ambit_model(**base)[1] == "disk"
+
+    def test_the_code_fingerprint_covers_the_stencil_sources(self, tmp_path):
+        package = Path(ambit.__file__).resolve().parent.parent
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        original = ambit._source_fingerprint(copy)
+        assert original == ambit.code_fingerprint()
+        (copy / "metrics" / "score.py").write_text("# unrelated edit\n", encoding="utf-8")
+        assert ambit._source_fingerprint(copy) == original
+        for source in ("optics/pupil.py", "fullchip/ambit.py", "config.py", "process/corners.py"):
+            path = copy / source
+            kept = path.read_bytes()
+            path.write_bytes(kept + b"\n# edited\n")
+            assert ambit._source_fingerprint(copy) != original, source
+            path.write_bytes(kept)
+        assert ambit._source_fingerprint(copy) == original
+
+
+def corrupt_torn(path: Path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def corrupt_garbage(path: Path) -> None:
+    path.write_bytes(b"not an npz archive\n" * 64)
+
+
+def corrupt_misshapen(path: Path) -> None:
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays["stencils_0"] = arrays["stencils_0"][:, 1:, 1:]
+    np.savez(path, **arrays)
+
+
+def corrupt_missing_focus(path: Path) -> None:
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files if name != "weights_1"}
+    np.savez(path, **arrays)
+
+
+class TestBadEntries:
+    """A bad entry is a miss: rebuild, overwrite, never crash, never a wrong model."""
+
+    @pytest.mark.parametrize(
+        "corrupt", [corrupt_torn, corrupt_garbage, corrupt_misshapen, corrupt_missing_focus],
+        ids=["torn", "unreadable", "misshapen", "missing-focus"],
+    )
+    def test_bad_entry_is_rebuilt_and_overwritten(self, cache_dir, monkeypatch, caplog, corrupt):
+        litho = tiny_litho()
+        built, _ = lookup_ambit_model(litho, probe_extent_nm=PROBE_NM)
+        (entry,) = entries(cache_dir)
+        corrupt(entry)
+        forget_memory(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger=ambit.__name__):
+            model, tier = lookup_ambit_model(litho, probe_extent_nm=PROBE_NM)
+        assert tier == "built"
+        assert_same_model(model, built)
+        assert any("ignoring ambit model cache entry" in r.message for r in caplog.records)
+        forget_memory(monkeypatch)
+        reread, tier = lookup_ambit_model(litho, probe_extent_nm=PROBE_NM)
+        assert tier == "disk"
+        assert_same_model(reread, built)
+
+    def test_alien_entry_is_not_served(self, cache_dir, monkeypatch):
+        wide, narrow = tiny_litho(), tiny_litho(process=ProcessConfig(defocus_range_nm=20.0))
+        lookup_ambit_model(wide, probe_extent_nm=PROBE_NM)
+        (wide_entry,) = entries(cache_dir)
+        narrow_model, _ = lookup_ambit_model(narrow, probe_extent_nm=PROBE_NM)
+        (narrow_entry,) = [p for p in entries(cache_dir) if p != wide_entry]
+        shutil.copyfile(wide_entry, narrow_entry)  # the other model's bytes, this name
+        forget_memory(monkeypatch)
+        model, tier = lookup_ambit_model(narrow, probe_extent_nm=PROBE_NM)
+        assert tier == "built"
+        assert_same_model(model, narrow_model)
+        with np.load(narrow_entry, allow_pickle=False) as archive:
+            assert str(archive["key"]) == narrow_entry.stem[len("ambit-"):]
+
+    def test_pickled_entry_is_not_unpickled(self, cache_dir, monkeypatch):
+        litho = tiny_litho()
+        built, _ = lookup_ambit_model(litho, probe_extent_nm=PROBE_NM)
+        (entry,) = entries(cache_dir)
+        with np.load(entry, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["ambit_px"] = np.array([object()], dtype=object)
+        np.savez(entry, **arrays)
+        forget_memory(monkeypatch)
+        model, tier = lookup_ambit_model(litho, probe_extent_nm=PROBE_NM)
+        assert tier == "built"
+        assert_same_model(model, built)
+
+    def test_unwritable_directory_stays_in_memory_with_one_warning(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # Tests may run as root, which writes through any mode bits, so
+        # the cache directory sits under a regular file instead.
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "xdg"))
+        monkeypatch.setattr(ambit, "_MODEL_CACHE", {})
+        monkeypatch.setattr(ambit, "_UNWRITABLE_DIRS", set())
+        first, second = tiny_litho(), tiny_litho(process=ProcessConfig(defocus_range_nm=20.0))
+        with caplog.at_level(logging.WARNING, logger=ambit.__name__):
+            assert lookup_ambit_model(first, probe_extent_nm=PROBE_NM)[1] == "built"
+            assert lookup_ambit_model(second, probe_extent_nm=PROBE_NM)[1] == "built"
+            assert lookup_ambit_model(first, probe_extent_nm=PROBE_NM)[1] == "memory"
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1, [r.message for r in warnings]
+        assert "memory only" in warnings[0].message
+        assert_same_model(
+            lookup_ambit_model(second, probe_extent_nm=PROBE_NM)[0],
+            AmbitModel.build(second, probe_extent_nm=PROBE_NM),
+        )
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_non_finite_setting_still_fails_as_before(self, cache_dir):
+        with pytest.raises(FullChipError):
+            lookup_ambit_model(tiny_litho(), energy_tol=float("nan"), probe_extent_nm=PROBE_NM)
+        assert entries(cache_dir) == []
+
+
+#: Run in a fresh interpreter: look the tiny model up, print the tier and counters.
+_LOOKUP = """
+import json
+
+from repro.config import GridSpec, LithoConfig, OpticsConfig, ProcessConfig, ResistConfig
+from repro.fullchip import model_cache_info
+from repro.fullchip.ambit import lookup_ambit_model
+
+litho = LithoConfig(
+    grid=GridSpec(shape=(64, 64), pixel_nm=16.0),
+    optics=OpticsConfig(num_kernels=4),
+    resist=ResistConfig(),
+    process=ProcessConfig(),
+)
+_, tier = lookup_ambit_model(litho, probe_extent_nm=1024.0)
+print(json.dumps({"tier": tier, "cache": model_cache_info().as_dict()}))
+"""
+
+
+class TestAcrossProcesses:
+    def test_a_fresh_process_reads_what_an_earlier_one_wrote(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        env["XDG_CACHE_HOME"] = str(tmp_path / "xdg")
+        reports = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-c", _LOOKUP], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            reports.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        first, second = reports
+        assert first["tier"] == "built"
+        assert first["cache"] == {"hits": 0, "misses": 1, "entries": 1, "disk_hits": 0, "disk_misses": 1}
+        assert second["tier"] == "disk"
+        assert second["cache"] == {"hits": 0, "misses": 1, "entries": 1, "disk_hits": 1, "disk_misses": 0}
+
+    def test_the_pinned_second_process_found_one_entry(self, two_processes):
+        _, cache_home = two_processes
+        assert len(entries(cache_home / "repro")) == 1
+
+
+class TestRunRecordsTheTier:
+    """run.json and the report say where the parent and each tile's solver got the model."""
+
+    @pytest.mark.parametrize("executor", ["serial", "pool", "queue"])
+    def test_tiers_in_run_json(self, cache_dir, tmp_path, executor):
+        run_dir = tmp_path / "run"
+        result = FullChipEngine(
+            tiny_litho(),
+            optimizer=OptimizerConfig(max_iterations=2, use_jump=False),
+            config=FullChipConfig(
+                tile_nm=1024.0,
+                probe_extent_nm=PROBE_NM,
+                workers=2,
+                executor=executor,
+                telemetry_dir=str(run_dir),
+                queue_lease_s=60.0,
+                backend="numpy",
+            ),
+        ).solve(synthetic_canvas(2048.0, 1024.0, seed=2))
+        assert result.all_ok
+        assert result.model_tier == "built"
+        tiers = [r.model_tier for r in result.tile_results]
+        if executor == "queue":
+            # Each `repro worker` reads the entry the parent wrote; a
+            # worker that solves both tiles has it in memory the second time.
+            assert "disk" in tiers and set(tiers) <= {"disk", "memory"}
+        else:
+            assert tiers == ["memory", "memory"]
+        run = load_run(run_dir)
+        assert run["model_tier"] == "built"
+        assert [tile["model_tier"] for tile in run["tiles"]] == tiers
+        assert run["ambit_cache"]["disk_misses"] >= 1
+        report = render_run_report(run_dir)
+        assert "ambit model: built in the parent" in report
+        assert "disk_hits=" in report
+
+    def test_a_second_process_parent_reads_the_disk(self, cache_dir, monkeypatch, tmp_path):
+        def run(name):
+            engine = FullChipEngine(
+                tiny_litho(),
+                optimizer=OptimizerConfig(max_iterations=1, use_jump=False),
+                config=FullChipConfig(
+                    tile_nm=1024.0, probe_extent_nm=PROBE_NM, telemetry_dir=str(tmp_path / name)
+                ),
+            )
+            engine.plan_for(synthetic_canvas(1024.0, 1024.0, seed=2))
+            return engine.solve(synthetic_canvas(1024.0, 1024.0, seed=2))
+
+        assert run("first").model_tier == "built"
+        forget_memory(monkeypatch)
+        second = run("second")
+        assert second.model_tier == "disk"
+        assert load_run(tmp_path / "second")["model_tier"] == "disk"
+        assert "ambit model: disk in the parent" in render_run_report(tmp_path / "second")
+        assert run("third").model_tier == "memory"
+        assert "ambit model: memory" in run("fourth").format_table()
