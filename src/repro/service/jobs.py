@@ -110,6 +110,13 @@ _JSON_KINDS = {
     bool: "true or false", int: "an integer", float: "a number", str: "a string"
 }
 
+#: :class:`FullChipConfig` fields no service-wide override may set.  A
+#: shared ``telemetry_dir`` would send every job's status feed, queue and
+#: run.json to one directory, a ``trace_id`` would be replaced by the
+#: job's own, and a shared ``checkpoint_dir`` with ``resume`` would serve
+#: one job's tile masks to another.
+PER_JOB_FIELDS = ("telemetry_dir", "trace_id", "checkpoint_dir", "resume")
+
 #: Stands in for a job's run directory when a payload is validated at
 #: submission (the queue executor needs one; every service job has one).
 _RUN_DIR_STAND_IN = "<job run directory>"
@@ -206,8 +213,9 @@ class ServiceConfig:
             overrides applied to every job (e.g. ``probe_extent_nm``,
             ``queue_lease_s``).  Only the result-affecting ones (see
             :data:`~repro.fullchip.engine.RESULT_FIELDS`) feed the cache
-            fingerprint; a key that is not a :class:`FullChipConfig`
-            field is refused.
+            fingerprint.  A key that is not a :class:`FullChipConfig`
+            field is refused, and so is one of
+            :data:`PER_JOB_FIELDS`.
         poll_s: event-feed and cancel-probe polling interval.
     """
 
@@ -232,6 +240,12 @@ class ServiceConfig:
                 f"unknown fullchip_overrides key(s) {unknown}; "
                 "each must be a FullChipConfig field"
             )
+        for key in PER_JOB_FIELDS:
+            if key in self.fullchip_overrides:
+                raise ServiceError(
+                    f"fullchip_overrides may not set {key!r}: each job "
+                    "keeps its own run directory, trace id and tile state"
+                )
 
 
 @dataclass
@@ -590,8 +604,8 @@ class IltService:
         fc_config = FullChipConfig(
             **{
                 **_config_kwargs(payload),
-                "telemetry_dir": str(run_dir),
                 **self.config.fullchip_overrides,
+                "telemetry_dir": str(run_dir),
                 "trace_id": job.trace_id,
             }
         )

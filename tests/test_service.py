@@ -339,6 +339,30 @@ class TestFullchipOverrides:
                 tmp_path / "svc", fullchip_overrides={"probe_extnet_nm": PROBE_NM}
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("telemetry_dir", "shared-run"),
+            ("trace_id", "0123456789abcdef"),
+            ("checkpoint_dir", "shared-tiles"),
+            ("resume", True),
+        ],
+    )
+    def test_per_job_override_is_refused_at_construction(self, tmp_path, key, value):
+        # Each would let one job see another's run directory, trace or
+        # done tiles; the pacing and result overrides stay accepted.
+        with pytest.raises(ServiceError, match=f"'{key}'"):
+            tiny_service_config(
+                tmp_path / "svc",
+                fullchip_overrides={
+                    "probe_extent_nm": PROBE_NM, "queue_lease_s": 10.0, key: value,
+                },
+            )
+        tiny_service_config(
+            tmp_path / "svc",
+            fullchip_overrides={"probe_extent_nm": PROBE_NM, "queue_lease_s": 10.0},
+        )
+
 
 # -- end-to-end: solve, cache, cancel ---------------------------------------
 
