@@ -54,7 +54,7 @@ from .fullchip.engine import FullChipConfig, FullChipEngine
 from .obs import Instrumentation
 from .geometry.layout import Layout
 from .geometry.raster import rasterize_layout
-from .io.glp import read_glp, write_glp
+from .io.glp import write_glp
 from .io.images import ascii_render, save_npz_images
 from .litho.simulator import LithographySimulator
 from .metrics.score import contest_score

@@ -67,6 +67,7 @@ from .ambit import (
     model_cache_info,
 )
 from .executor import executor_for
+from .queue import QueueConfig
 from .scheduler import _SOLVER_MODES, TileJob, TileResult, run_tile_jobs
 from .stitch import SeamReport, build_seam_report, stitch_masks
 from .tiling import TilePlan, build_tile_plan
@@ -153,14 +154,14 @@ class FullChipConfig:
     probe_extent_nm: float = DEFAULT_PROBE_EXTENT_NM
     telemetry_dir: Optional[str] = None
     resource_interval_s: float = 0.5
-    watchdog_poll_s: float = 2.0
-    watchdog_stall_factor: float = 8.0
-    watchdog_min_stall_s: float = 10.0
+    watchdog_poll_s: float = WatchdogConfig.poll_s
+    watchdog_stall_factor: float = WatchdogConfig.stall_factor
+    watchdog_min_stall_s: float = WatchdogConfig.min_stall_s
     backend: Optional[str] = None
     executor: str = "pool"
-    queue_lease_s: float = 30.0
-    queue_max_requeues: int = 2
-    queue_backoff_s: float = 0.5
+    queue_lease_s: float = QueueConfig.lease_s
+    queue_max_requeues: int = QueueConfig.max_requeues
+    queue_backoff_s: float = QueueConfig.backoff_s
     trace_id: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -223,10 +224,8 @@ class FullChipConfig:
             min_stall_s=self.watchdog_min_stall_s,
         )
 
-    def queue_config(self) -> "QueueConfig":
+    def queue_config(self) -> QueueConfig:
         """The durable-queue settings as a :class:`QueueConfig`."""
-        from .queue import QueueConfig
-
         return QueueConfig(
             lease_s=self.queue_lease_s,
             max_requeues=self.queue_max_requeues,

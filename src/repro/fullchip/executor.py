@@ -38,7 +38,7 @@ from ..errors import FullChipCancelled, FullChipError
 from ..harness import CellStatus
 from ..obs import Instrumentation
 from ..obs.distributed import TileTelemetry, merge_tile_telemetry
-from .queue import QUEUE_DIRNAME, ClaimedJob, QueueConfig, TileJobQueue
+from .queue import QUEUE_DIRNAME, QueueConfig, TileJobQueue
 from .scheduler import (
     TileJob,
     TileResult,

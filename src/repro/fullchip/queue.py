@@ -65,7 +65,7 @@ import pickle
 import socket
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -284,10 +284,11 @@ class TileJobQueue:
                 meta = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise FullChipError(f"unreadable {meta_path}: {exc}") from exc
+        default = QueueConfig()
         config = QueueConfig(
-            lease_s=float(meta.get("lease_s", 30.0)),
-            max_requeues=int(meta.get("max_requeues", 2)),
-            backoff_s=float(meta.get("backoff_s", 0.5)),
+            lease_s=float(meta.get("lease_s", default.lease_s)),
+            max_requeues=int(meta.get("max_requeues", default.max_requeues)),
+            backoff_s=float(meta.get("backoff_s", default.backoff_s)),
         )
         raw_trace = meta.get("trace_id")
         return cls(root, config, trace_id=str(raw_trace) if raw_trace else None)

@@ -28,6 +28,7 @@ from repro.fullchip import (
     AmbitModel,
     FullChipConfig,
     FullChipEngine,
+    QueueConfig,
     TileJob,
     ambit_model_for,
     build_tile_plan,
@@ -40,6 +41,7 @@ from repro.fullchip.stitch import build_seam_report, seam_lines
 from repro.geometry.rect import Rect
 from repro.geometry.raster import rasterize_layout
 from repro.harness import CellStatus
+from repro.obs.live import WatchdogConfig
 from repro.testing.faults import TILE_FAULTS_ENV
 from repro.workloads.generator import synthetic_canvas
 
@@ -506,6 +508,10 @@ class TestEngine:
 
     def test_halo_defaults_to_the_ambit(self, fc_engine):
         assert fc_engine.halo_nm == fc_engine.model.ambit_nm
+
+    def test_queue_and_watchdog_defaults_come_from_their_configs(self):
+        assert FullChipConfig().queue_config() == QueueConfig()
+        assert FullChipConfig().watchdog_config() == WatchdogConfig()
 
     def test_config_validation(self):
         with pytest.raises(FullChipError):
