@@ -375,8 +375,8 @@ class ModelCacheInfo:
     hits: int
     misses: int
     entries: int
-    disk_hits: int = 0
-    disk_misses: int = 0
+    disk_hits: int
+    disk_misses: int
 
     def as_dict(self) -> Dict[str, int]:
         return {

@@ -361,10 +361,6 @@ class TestAcrossProcesses:
         assert second["tier"] == "disk"
         assert second["cache"] == {"hits": 0, "misses": 1, "entries": 1, "disk_hits": 1, "disk_misses": 0}
 
-    def test_the_pinned_second_process_found_one_entry(self, two_processes):
-        _, cache_home = two_processes
-        assert len(entries(cache_home / "repro")) == 1
-
 
 class TestRunRecordsTheTier:
     """run.json and the report say where the parent and each tile's solver got the model."""
