@@ -19,6 +19,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,7 @@ class TestBadEntries:
 
 #: Run in a fresh interpreter: look the tiny model up, print the tier and counters.
 _LOOKUP = """
+import hashlib
 import json
 
 from repro.config import GridSpec, LithoConfig, OpticsConfig, ProcessConfig, ResistConfig
@@ -338,16 +340,27 @@ litho = LithoConfig(
     resist=ResistConfig(),
     process=ProcessConfig(),
 )
-_, tier = lookup_ambit_model(litho, probe_extent_nm=1024.0)
-print(json.dumps({"tier": tier, "cache": model_cache_info().as_dict()}))
+model, tier = lookup_ambit_model(litho, probe_extent_nm=1024.0)
+digest = hashlib.sha256(str(model.ambit_px).encode())
+for focus in model.focus_stencils.values():
+    digest.update(focus.weights.tobytes())
+    digest.update(focus.stencils.tobytes())
+print(json.dumps({
+    "tier": tier, "cache": model_cache_info().as_dict(), "digest": digest.hexdigest(),
+}))
 """
+
+
+def lookup_env(cache_home: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env["XDG_CACHE_HOME"] = str(cache_home)
+    return env
 
 
 class TestAcrossProcesses:
     def test_a_fresh_process_reads_what_an_earlier_one_wrote(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        env["XDG_CACHE_HOME"] = str(tmp_path / "xdg")
+        env = lookup_env(tmp_path / "xdg")
         reports = []
         for _ in range(2):
             proc = subprocess.run(
@@ -360,6 +373,60 @@ class TestAcrossProcesses:
         assert first["cache"] == {"hits": 0, "misses": 1, "entries": 1, "disk_hits": 0, "disk_misses": 1}
         assert second["tier"] == "disk"
         assert second["cache"] == {"hits": 0, "misses": 1, "entries": 1, "disk_hits": 1, "disk_misses": 0}
+        assert second["digest"] == first["digest"]
+
+    def test_processes_racing_on_an_empty_cache_agree(self, tmp_path):
+        # More processes than cores, all missing at once: each builds or
+        # reads, none ever reads a torn entry, all end with the same bits.
+        env = lookup_env(tmp_path / "xdg")
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _LOOKUP], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(4)
+        ]
+        reports = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err[-2000:]
+            assert "ignoring ambit model cache entry" not in err
+            reports.append(json.loads(out.strip().splitlines()[-1]))
+        assert {r["tier"] for r in reports} <= {"built", "disk"}
+        assert len({r["digest"] for r in reports}) == 1
+        assert [p.name for p in (tmp_path / "xdg" / "repro").iterdir()] == [
+            p.name for p in entries(tmp_path / "xdg" / "repro")
+        ]
+        later = subprocess.run(
+            [sys.executable, "-c", _LOOKUP], env=env, capture_output=True, text=True, timeout=120
+        )
+        report = json.loads(later.stdout.strip().splitlines()[-1])
+        assert report["tier"] == "disk" and report["digest"] == reports[0]["digest"]
+
+    def test_threads_racing_on_an_empty_cache_share_one_build(self, cache_dir):
+        litho = tiny_litho()
+        before = model_cache_info()
+        found = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: found.append(lookup_ambit_model(litho, probe_extent_nm=PROBE_NM))
+                )
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({id(model) for model, _ in found}) == 1
+        assert sorted(tier for _, tier in found) == ["built"] + ["memory"] * 7
+        assert model_cache_info().disk_misses - before.disk_misses == 1
+        assert len(entries(cache_dir)) == 1
 
 
 class TestRunRecordsTheTier:
