@@ -223,6 +223,16 @@ class TestDiskTier:
         assert ambit._source_fingerprint(copy) == original
 
 
+class _MkdirWhenUnpickled:
+    """Pickles to a call of ``os.mkdir``: loading it runs code."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
 def corrupt_torn(path: Path) -> None:
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
@@ -269,31 +279,35 @@ class TestBadEntries:
         assert_same_model(reread, built)
 
     def test_alien_entry_is_not_served(self, cache_dir, monkeypatch):
-        wide, narrow = tiny_litho(), tiny_litho(process=ProcessConfig(defocus_range_nm=20.0))
-        lookup_ambit_model(wide, probe_extent_nm=PROBE_NM)
-        (wide_entry,) = entries(cache_dir)
-        narrow_model, _ = lookup_ambit_model(narrow, probe_extent_nm=PROBE_NM)
-        (narrow_entry,) = [p for p in entries(cache_dir) if p != wide_entry]
-        shutil.copyfile(wide_entry, narrow_entry)  # the other model's bytes, this name
+        # Same kernel count and focus conditions, so the alien entry is
+        # well formed: only its stored key tells it apart.
+        other, mine = tiny_litho(), tiny_litho(optics=OpticsConfig(num_kernels=4, sigma_outer=0.85))
+        lookup_ambit_model(other, probe_extent_nm=PROBE_NM)
+        (other_entry,) = entries(cache_dir)
+        my_model, _ = lookup_ambit_model(mine, probe_extent_nm=PROBE_NM)
+        (my_entry,) = [p for p in entries(cache_dir) if p != other_entry]
+        shutil.copyfile(other_entry, my_entry)  # the other model's bytes, this name
         forget_memory(monkeypatch)
-        model, tier = lookup_ambit_model(narrow, probe_extent_nm=PROBE_NM)
+        model, tier = lookup_ambit_model(mine, probe_extent_nm=PROBE_NM)
         assert tier == "built"
-        assert_same_model(model, narrow_model)
-        with np.load(narrow_entry, allow_pickle=False) as archive:
-            assert str(archive["key"]) == narrow_entry.stem[len("ambit-"):]
+        assert_same_model(model, my_model)
+        with np.load(my_entry, allow_pickle=False) as archive:
+            assert str(archive["key"]) == my_entry.stem[len("ambit-"):]
 
-    def test_pickled_entry_is_not_unpickled(self, cache_dir, monkeypatch):
+    def test_pickled_entry_is_not_unpickled(self, cache_dir, monkeypatch, tmp_path):
         litho = tiny_litho()
         built, _ = lookup_ambit_model(litho, probe_extent_nm=PROBE_NM)
         (entry,) = entries(cache_dir)
         with np.load(entry, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
-        arrays["ambit_px"] = np.array([object()], dtype=object)
+        marker = tmp_path / "unpickled"
+        arrays["ambit_px"] = np.array([_MkdirWhenUnpickled(str(marker))], dtype=object)
         np.savez(entry, **arrays)
         forget_memory(monkeypatch)
         model, tier = lookup_ambit_model(litho, probe_extent_nm=PROBE_NM)
         assert tier == "built"
         assert_same_model(model, built)
+        assert not marker.exists()
 
     def test_unwritable_directory_stays_in_memory_with_one_warning(
         self, tmp_path, monkeypatch, caplog
