@@ -10,6 +10,9 @@ the 256-px reduced grid (row-pruned inverse FFT) and on a 372-px
 full-chip window (dense support, unpruned inverse FFT) — and gradients
 reassociate only at the 1e-12 level.  The bitwise pins hold at one
 thread and at two, where the batched transforms split across threads.
+``TestParentEnginePin`` holds the engine, gradients included, to a
+verbatim copy of the parent engine's numpy expressions at one, two and
+three threads.
 
 The cross-backend comparisons are parametrized over every registered
 array backend (``backend`` fixture): the reference side always runs on
@@ -35,6 +38,7 @@ from repro.opc.objectives import (
     ImageDifferenceObjective,
     PVBandObjective,
 )
+from repro.opc.state import ForwardContext
 from repro.optics.hopkins import (
     ForwardCache,
     accumulate_backprojection,
@@ -280,6 +284,274 @@ class TestWindowSupportFormPin:
         indexed = engine.solve(layout).mask
         for threads, mask in shipped.items():
             assert np.array_equal(mask, indexed), f"{threads} thread(s)"
+
+
+# -- the parent engine, verbatim -------------------------------------------
+#
+# The batched forward, the intensity einsum, the weighted fields and the
+# accumulated adjoint as the engine computed them while every stage
+# allocated its own result: the same numpy expressions in the same
+# operand order, on one thread.  ``TestParentEnginePin`` holds the engine
+# to these bits.
+
+#: Thread counts the parent-engine pin runs the engine at.
+PARENT_PIN_THREADS = (1, 2, 3)
+
+#: Chip evaluation grid of a two-tile canvas: a 256 x 512 px chip plus
+#: an ambit margin on every side.
+EVALUATION_SHAPE = (372, 628)
+
+
+def _parent_index(kernels):
+    support = kernels.support
+    if support.dense:
+        return None, None
+    return (
+        np.asarray(support.rows, dtype=np.intp),
+        np.asarray(support.cols, dtype=np.intp),
+    )
+
+
+def _parent_gather(full, rows, cols):
+    if rows is None:
+        return full.reshape(tuple(full.shape[:-2]) + (-1,))
+    return full[..., rows, cols]
+
+
+def _parent_scatter(full, rows, cols, values):
+    if rows is None:
+        full[...] = values.reshape(tuple(full.shape))
+    else:
+        full[..., rows, cols] = values
+
+
+def _parent_support_rows(supports, num_rows):
+    if any(s.dense for s in supports):
+        return None
+    rows = np.unique(np.concatenate([s.rows for s in supports]))
+    if len(rows) * 2 >= num_rows:
+        return None
+    return rows
+
+
+def parent_field_stacks(cache, kernel_sets):
+    """``batched_field_stacks``: products scattered into zeros, one ifft."""
+    shape = common_grid_shape(kernel_sets)
+    counts = [ks.num_kernels for ks in kernel_sets]
+    stacked = np.zeros((sum(counts),) + shape, dtype=np.complex128)
+    pos = 0
+    for ks in kernel_sets:
+        rows, cols = _parent_index(ks)
+        spectra = np.asarray(ks.spectra, dtype=np.complex128)
+        m_sup = cache.gathered(ks.support)
+        block = stacked[pos : pos + ks.num_kernels]
+        _parent_scatter(block, rows, cols, m_sup[None, :] * spectra)
+        pos += ks.num_kernels
+    rows_used = _parent_support_rows([ks.support for ks in kernel_sets], shape[0])
+    if rows_used is None:
+        fields = np.fft.ifft2(stacked, axes=(-2, -1))
+    else:
+        ru = np.asarray(rows_used, dtype=np.intp)
+        fields = np.zeros(tuple(stacked.shape), dtype=np.complex128)
+        fields[:, ru, :] = np.fft.ifft(stacked[:, ru, :], axis=-1)
+        fields = np.fft.ifft(fields, axis=-2)
+    out = []
+    pos = 0
+    for h in counts:
+        out.append(fields[pos : pos + h])
+        pos += h
+    return out
+
+
+def parent_intensity(kernels, fields, dose=1.0):
+    """``aerial_image`` on precomputed fields."""
+    weights = np.asarray(kernels.weights, dtype=np.float64)
+    intensity = np.einsum("k,kij->ij", weights, np.abs(fields) ** 2)
+    return np.asarray(dose * intensity)
+
+
+def parent_weight_fields(df_di, fields):
+    """``weight_fields``: the host gradient times every field."""
+    return np.asarray(df_di, dtype=np.float64)[None, :, :] * fields
+
+
+def parent_accumulate_backprojection(groups):
+    """``accumulate_backprojection`` over ``(weighted_fields, kernels)``."""
+    shape = common_grid_shape([ks for _, ks in groups])
+    total = sum(ks.num_kernels for _, ks in groups)
+    stacked = np.empty((total,) + shape, dtype=np.complex128)
+    pos = 0
+    for wf, ks in groups:
+        stacked[pos : pos + ks.num_kernels] = np.asarray(wf, dtype=np.complex128)
+        pos += ks.num_kernels
+    rows_used = _parent_support_rows([ks.support for _, ks in groups], shape[0])
+    if rows_used is None:
+        w_hat = np.fft.fft2(stacked, axes=(-2, -1))
+    else:
+        ru = np.asarray(rows_used, dtype=np.intp)
+        w_hat = np.fft.fft(np.fft.fft(stacked, axis=-2)[:, ru, :], axis=-1)
+    accum = np.zeros(shape, dtype=np.complex128)
+    pos = 0
+    for _, ks in groups:
+        h = ks.num_kernels
+        weights = np.asarray(ks.weights, dtype=np.float64)
+        spectra = np.asarray(ks.spectra, dtype=np.complex128)
+        rows, cols = _parent_index(ks)
+        gathered_rows = rows
+        if rows_used is not None:
+            gathered_rows = np.asarray(
+                np.searchsorted(rows_used, ks.support.rows), dtype=np.intp
+            )
+        gathered = _parent_gather(w_hat[pos : pos + h], gathered_rows, cols)
+        # Unnamed, as in the parent: numpy elides a >= 256 KiB conjugate
+        # into the product and swaps the operands.
+        summed = np.einsum("k,ks->s", weights, gathered * np.conj(spectra))
+        _parent_scatter(accum, rows, cols, _parent_gather(accum, rows, cols) + summed)
+        pos += h
+    return np.asarray(2.0 * np.real(np.fft.ifft2(accum, axes=(-2, -1))))
+
+
+def parent_simulate_all_corners(sim, mask, corners):
+    """``LithographySimulator.simulate_all_corners`` on the parent engine."""
+    kernel_by_corner = [sim.kernels_at(c.defocus_nm) for c in corners]
+    focus_kernels = {}
+    for corner, kernels in zip(corners, kernel_by_corner):
+        focus_kernels.setdefault(float(corner.defocus_nm), kernels)
+    cache = ForwardCache(mask, xp="numpy")
+    stacks = parent_field_stacks(cache, list(focus_kernels.values()))
+    intensity = {
+        focus: parent_intensity(kernels, fields)
+        for (focus, kernels), fields in zip(focus_kernels.items(), stacks)
+    }
+    return [c.dose * intensity[float(c.defocus_nm)] for c in corners]
+
+
+def parent_gradient_all_corners(sim, mask, contributions, fields_by_focus=None):
+    """``LithographySimulator.gradient_all_corners`` on the parent engine."""
+    contributions = [
+        (corner if corner is not None else nominal_corner(), df_di)
+        for corner, df_di in contributions
+    ]
+    combined = {}
+    for corner, df_di in contributions:
+        key = float(corner.defocus_nm)
+        scaled = corner.dose * np.asarray(df_di, dtype=np.float64)
+        combined[key] = combined[key] + scaled if key in combined else scaled
+    combined = {key: sim.resist.diffuse(value) for key, value in combined.items()}
+    if fields_by_focus is None or any(f not in fields_by_focus for f in combined):
+        cache = ForwardCache(mask, xp="numpy")
+        stacks = parent_field_stacks(cache, [sim.kernels_at(f) for f in combined])
+        fields_by_focus = dict(zip(combined, stacks))
+    groups = [
+        (parent_weight_fields(combined[f], fields_by_focus[f]), sim.kernels_at(f))
+        for f in combined
+    ]
+    return parent_accumulate_backprojection(groups)
+
+
+class ParentContext(ForwardContext):
+    """A :class:`ForwardContext` whose fields, intensities and adjoint
+    come from the parent engine."""
+
+    def ensure_fields(self, corners):
+        wanted = []
+        for corner in corners:
+            key = float((corner or self.nominal).defocus_nm)
+            if key not in self._fields and key not in wanted:
+                wanted.append(key)
+        if wanted:
+            kernel_sets = [self.sim.kernels_at(key) for key in wanted]
+            stacks = parent_field_stacks(self._cache, kernel_sets)
+            self._fields.update(zip(wanted, stacks))
+
+    def _intensity_at_focus(self, corner):
+        key = float(corner.defocus_nm)
+        if key not in self._intensity:
+            kernels = self.sim.kernels_at(corner.defocus_nm)
+            self._intensity[key] = parent_intensity(kernels, self.fields(corner))
+        return self._intensity[key]
+
+    def accumulate_intensity_gradients(self, contributions):
+        resolved = [
+            (corner if corner is not None else self.nominal, df_di)
+            for corner, df_di in contributions
+        ]
+        if not resolved:
+            return np.zeros_like(self.mask)
+        self.ensure_fields([corner for corner, _ in resolved])
+        return parent_gradient_all_corners(
+            self.sim, self.mask, resolved, fields_by_focus=self._fields
+        )
+
+
+@pytest.fixture(scope="module")
+def evaluation_sim(window_sim):
+    """The chip evaluation grid of a two-tile canvas (dense support)."""
+    return window_sim.model.simulator_for(EVALUATION_SHAPE, backend="numpy")
+
+
+@pytest.fixture(params=["tiny", "reduced", "window", "evaluation"])
+def engine_sim(request):
+    """Every grid the engine images, each on the numpy backend."""
+    fixture = {
+        "tiny": "tiny_sim",
+        "reduced": "sim",
+        "window": "window_sim",
+        "evaluation": "evaluation_sim",
+    }
+    return request.getfixturevalue(fixture[request.param])
+
+
+class TestParentEnginePin:
+    """The engine against the parent engine's expressions, bit for bit.
+
+    ``TestReferencePin`` compares the engine with ``aerial_image``, which
+    the engine shares, so a change to both passes there.  The copies
+    above are independent of the engine's code.  Each case runs at every
+    count in ``PARENT_PIN_THREADS``, on the band-limited clip grid (row-
+    pruned transforms), the tiny grid, a tile window and the chip
+    evaluation grid (dense supports).
+    """
+
+    def test_simulate_all_corners(self, engine_sim, rng):
+        mask = random_mask(rng, engine_sim.grid.shape)
+        corners = engine_sim.corners()
+        expected = parent_simulate_all_corners(engine_sim, mask, corners)
+        for threads in PARENT_PIN_THREADS:
+            with fft_threads_scope(threads):
+                images = engine_sim.simulate_all_corners(mask, corners)
+            for image, reference in zip(images, expected):
+                assert np.array_equal(image, reference), f"{threads} thread(s)"
+
+    def test_gradient_all_corners(self, engine_sim, rng):
+        mask = random_mask(rng, engine_sim.grid.shape)
+        contributions = [
+            (corner, rng.standard_normal(engine_sim.grid.shape))
+            for corner in engine_sim.corners()
+        ]
+        expected = parent_gradient_all_corners(engine_sim, mask, contributions)
+        for threads in PARENT_PIN_THREADS:
+            with fft_threads_scope(threads):
+                grad = engine_sim.gradient_all_corners(mask, contributions)
+            assert np.array_equal(grad, expected), f"{threads} thread(s)"
+
+    def test_composite_value_and_gradient(self, engine_sim, rng):
+        shape = engine_sim.grid.shape
+        target = np.zeros(shape)
+        target[shape[0] // 4 : shape[0] // 2, shape[1] // 4 : shape[1] // 2] = 1.0
+        mask = np.clip(target + 0.1 * rng.standard_normal(shape), 0.05, 0.95)
+        composite = CompositeObjective(
+            [
+                (100.0, ImageDifferenceObjective(target, gamma=4)),
+                (1.0, PVBandObjective(target)),
+            ]
+        )
+        value, grad = composite.value_and_gradient(ParentContext(mask, engine_sim))
+        for threads in PARENT_PIN_THREADS:
+            with fft_threads_scope(threads):
+                got_value, got_grad = composite.value_and_gradient(engine_sim.context(mask))
+            assert got_value == value, f"{threads} thread(s)"
+            assert np.array_equal(got_grad, grad), f"{threads} thread(s)"
 
 
 @pytest.fixture(scope="module")
