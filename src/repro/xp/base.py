@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 
@@ -64,6 +64,18 @@ class DeviceKernelData:
     spectra: Any
     rows: Any
     cols: Any
+
+
+def into(result: Any, out: Any) -> Any:
+    """``result``, or ``out`` holding a copy of it when ``out`` is given.
+
+    The ``out=`` form of a method whose library call cannot write into
+    a given array: the call runs as it would without ``out``.
+    """
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 class ArrayBackend:
@@ -111,7 +123,7 @@ class ArrayBackend:
 
     @property
     def fft_threads(self) -> int:
-        """Threads one transform call may split across (1 = the caller's)."""
+        """Threads one transform or engine stage may split across (1 = the caller's)."""
         return 1
 
     @property
@@ -147,24 +159,45 @@ class ArrayBackend:
         raise NotImplementedError
 
     # -- transforms --------------------------------------------------------
+    #
+    # Every transform and ``out=`` method returns its result; given
+    # ``out`` (a native array of the result's shape, which may be the
+    # input itself), it writes the result there and returns ``out``.
 
-    def fft2(self, x: Any) -> Any:
+    def fft2(self, x: Any, out: Any = None) -> Any:
         """2-D FFT over the last two axes (batched over leading axes)."""
         raise NotImplementedError
 
-    def ifft2(self, x: Any) -> Any:
+    def ifft2(self, x: Any, out: Any = None) -> Any:
         raise NotImplementedError
 
-    def fft(self, x: Any, axis: int) -> Any:
+    def fft(self, x: Any, axis: int, out: Any = None) -> Any:
         raise NotImplementedError
 
-    def ifft(self, x: Any, axis: int) -> Any:
+    def ifft(self, x: Any, axis: int, out: Any = None) -> Any:
         raise NotImplementedError
 
-    def einsum(self, subscripts: str, *operands: Any) -> Any:
+    def einsum(self, subscripts: str, *operands: Any, out: Any = None) -> Any:
         raise NotImplementedError
+
+    # -- engine stages -----------------------------------------------------
+
+    def map_chunks(self, fn: Callable[[int, int], None], n: int, points: int) -> None:
+        """Run ``fn(lo, hi)`` over the index range ``[0, n)``.
+
+        ``fn`` covers ``[lo, hi)`` of one axis of an engine stage and
+        writes only that part of its output, so disjoint ranges may run
+        at once.  ``points`` is the size of the whole stage.  This base
+        runs ``fn(0, n)`` once on the calling thread; a backend with a
+        thread pool may cut the range into contiguous chunks.
+        """
+        fn(0, n)
 
     # -- elementwise -------------------------------------------------------
+
+    def multiply(self, a: Any, b: Any, out: Any = None) -> Any:
+        """``a * b`` with broadcasting, in that operand order."""
+        return into(a * b, out)
 
     def conj(self, x: Any) -> Any:
         raise NotImplementedError
@@ -172,7 +205,7 @@ class ArrayBackend:
     def real(self, x: Any) -> Any:
         raise NotImplementedError
 
-    def abs(self, x: Any) -> Any:
+    def abs(self, x: Any, out: Any = None) -> Any:
         raise NotImplementedError
 
     def exp(self, x: Any) -> Any:

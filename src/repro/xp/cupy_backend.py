@@ -13,7 +13,7 @@ from typing import Any, Tuple
 import cupy as cp
 import numpy as np
 
-from .base import ArrayBackend
+from .base import ArrayBackend, into
 
 
 class CupyBackend(ArrayBackend):
@@ -42,20 +42,20 @@ class CupyBackend(ArrayBackend):
 
     # -- transforms --------------------------------------------------------
 
-    def fft2(self, x: Any) -> Any:
-        return cp.fft.fft2(x, axes=(-2, -1))
+    def fft2(self, x: Any, out: Any = None) -> Any:
+        return into(cp.fft.fft2(x, axes=(-2, -1)), out)
 
-    def ifft2(self, x: Any) -> Any:
-        return cp.fft.ifft2(x, axes=(-2, -1))
+    def ifft2(self, x: Any, out: Any = None) -> Any:
+        return into(cp.fft.ifft2(x, axes=(-2, -1)), out)
 
-    def fft(self, x: Any, axis: int) -> Any:
-        return cp.fft.fft(x, axis=axis)
+    def fft(self, x: Any, axis: int, out: Any = None) -> Any:
+        return into(cp.fft.fft(x, axis=axis), out)
 
-    def ifft(self, x: Any, axis: int) -> Any:
-        return cp.fft.ifft(x, axis=axis)
+    def ifft(self, x: Any, axis: int, out: Any = None) -> Any:
+        return into(cp.fft.ifft(x, axis=axis), out)
 
-    def einsum(self, subscripts: str, *operands: Any) -> Any:
-        return cp.einsum(subscripts, *operands)
+    def einsum(self, subscripts: str, *operands: Any, out: Any = None) -> Any:
+        return into(cp.einsum(subscripts, *operands), out)
 
     # -- elementwise -------------------------------------------------------
 
@@ -65,8 +65,8 @@ class CupyBackend(ArrayBackend):
     def real(self, x: Any) -> Any:
         return cp.real(x)
 
-    def abs(self, x: Any) -> Any:
-        return cp.abs(x)
+    def abs(self, x: Any, out: Any = None) -> Any:
+        return into(cp.abs(x), out)
 
     def exp(self, x: Any) -> Any:
         return cp.exp(x)

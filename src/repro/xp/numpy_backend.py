@@ -5,16 +5,20 @@ method forwards to the exact numpy call the legacy (pre-seam) code made,
 so the ported core reproduces the old results bitwise and the existing
 golden/equivalence pins keep holding.
 
-Its transforms may run on several threads.  A large enough batch is cut
-along its leading axis into contiguous chunks, and each chunk calls
-numpy on its own slice of one output array.  Every transform in a batch
-is computed on its own, so the result is bitwise the unsplit call's
-(``tests/test_backend_seam.py::TestThreadedTransformPin``).  Numpy
-releases the GIL inside its FFTs, so the chunks run in parallel.
+Its transforms and the engine's elementwise stages may run on several
+threads.  A large enough batch is cut along one axis into contiguous
+chunks, and each chunk calls numpy on its own slice of one output
+array.  Every transform in a batch, and every element of a stage, is
+computed on its own, so the result is bitwise the unsplit call's
+(``tests/test_backend_seam.py::TestThreadedTransformPin``,
+``tests/test_forward_batching.py::TestParentEnginePin``).  Numpy
+releases the GIL inside its FFTs and its ufunc and einsum loops, so the
+chunks run in parallel.
 
 ``NumpyBackend("float32")`` is the single-precision mode.  Its
 transforms route through ``scipy.fft`` (same pocketfft core), imported
-only when such a backend is built; float32 never splits.
+only when such a backend is built, and split the same way: each chunk
+is one ``scipy.fft`` call.
 """
 
 from __future__ import annotations
@@ -30,13 +34,15 @@ import numpy as np
 from ..errors import OpticsError
 from .base import ArrayBackend
 
-#: Fewest points a batched float64 transform needs before it is split
-#: across threads.  On a 2-vCPU host two threads lost on some 1-D passes
-#: of 2^16 points and won on every call from 8e4 points; the clip's
-#: (16, 27, 256) row pass is just above this line.
+#: Fewest points a batched transform or engine stage needs before it is
+#: split across threads.  On a 2-vCPU host two threads lost on some 1-D
+#: passes of 2^16 points and won on every call from 8e4 points; the
+#: clip's (16, 27, 256) row pass is just above this line.
 SPLIT_MIN_POINTS = 100_000
 
-_SPLIT_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+#: The numpy call behind each float64 transform when it writes into a
+#: given output.  Not np.fft.ifft2: it accepts out= but never writes to it.
+_NUMPY_OUT_CALLS = {"fft2": "fftn", "ifft2": "ifftn", "fft": "fft", "ifft": "ifft"}
 
 #: Thread count for the solve running in this context; None leaves every
 #: usable core.  Set by :func:`fft_threads_scope`.
@@ -55,7 +61,7 @@ def usable_cores() -> int:
 
 @contextlib.contextmanager
 def fft_threads_scope(threads: Optional[int]) -> Iterator[None]:
-    """Run float64 transforms called in this context on ``threads`` threads.
+    """Run transforms and engine stages called in this context on ``threads`` threads.
 
     A solver process that shares the host with others solves inside one
     of these, so the processes together use each core once.  ``None``
@@ -95,8 +101,6 @@ class NumpyBackend(ArrayBackend):
     @property
     def fft_threads(self) -> int:
         """The scope's count (:func:`fft_threads_scope`), else every usable core."""
-        if self.precision != "float64":
-            return 1
         scoped = _SCOPED_THREADS.get()
         return scoped if scoped is not None else usable_cores()
 
@@ -121,65 +125,95 @@ class NumpyBackend(ArrayBackend):
 
     # -- transforms --------------------------------------------------------
 
-    def fft2(self, x: Any) -> Any:
-        chunks = self._chunks(x, (-2, -1))
-        if chunks > 1:
-            return self._split(np.fft.fftn, x, chunks, axes=(-2, -1))
-        return self._fft_mod.fft2(x, axes=(-2, -1))
+    def fft2(self, x: Any, out: Any = None) -> Any:
+        return self._transform("fft2", x, (-2, -1), out, axes=(-2, -1))
 
-    def ifft2(self, x: Any) -> Any:
-        chunks = self._chunks(x, (-2, -1))
-        if chunks > 1:
-            # Not np.fft.ifft2: it accepts out= but never writes to it.
-            return self._split(np.fft.ifftn, x, chunks, axes=(-2, -1))
-        return self._fft_mod.ifft2(x, axes=(-2, -1))
+    def ifft2(self, x: Any, out: Any = None) -> Any:
+        return self._transform("ifft2", x, (-2, -1), out, axes=(-2, -1))
 
-    def fft(self, x: Any, axis: int) -> Any:
-        chunks = self._chunks(x, (axis,))
-        if chunks > 1:
-            return self._split(np.fft.fft, x, chunks, axis=axis)
-        return self._fft_mod.fft(x, axis=axis)
+    def fft(self, x: Any, axis: int, out: Any = None) -> Any:
+        return self._transform("fft", x, (axis,), out, axis=axis)
 
-    def ifft(self, x: Any, axis: int) -> Any:
-        chunks = self._chunks(x, (axis,))
-        if chunks > 1:
-            return self._split(np.fft.ifft, x, chunks, axis=axis)
-        return self._fft_mod.ifft(x, axis=axis)
+    def ifft(self, x: Any, axis: int, out: Any = None) -> Any:
+        return self._transform("ifft", x, (axis,), out, axis=axis)
+
+    def _transform(
+        self, name: str, x: Any, along: Sequence[int], out: Any, **kw: Any
+    ) -> Any:
+        """One transform over the axes ``along``, split along the leading
+        axis when :meth:`_chunks` says so.
+
+        Unsplit and without ``out`` it is the library's own call.  Each
+        chunk writes its slice of one output: numpy's ``out=``, or a copy
+        of the ``scipy.fft`` result at single precision.
+        """
+        chunks = self._chunks(x, along)
+        if out is None and chunks == 1:
+            return getattr(self._fft_mod, name)(x, **kw)
+        if out is None:
+            out = np.empty(x.shape, dtype=self.complex_dtype)
+        if self.precision == "float64":
+            call = getattr(np.fft, _NUMPY_OUT_CALLS[name])
+
+            def run(lo: int, hi: int) -> None:
+                call(x[lo:hi], out=out[lo:hi], **kw)
+        else:
+            call = getattr(self._fft_mod, name)
+
+            def run(lo: int, hi: int) -> None:
+                out[lo:hi] = call(x[lo:hi], **kw)
+
+        self._map(run, len(x), chunks)
+        return out
 
     def _chunks(self, x: Any, axes: Sequence[int]) -> int:
         """How many pieces a transform over ``axes`` runs as (1 = unsplit).
 
-        Splits a float64/complex128 numpy array along its leading axis
-        when that axis is not transformed, holds at least one entry per
-        thread, and the whole call is large enough to pay for the
-        hand-off.
+        Splits a numpy array of the backend's own dtypes along its
+        leading axis when that axis is not transformed, under the rule
+        of :meth:`_chunk_count`.
         """
-        if not isinstance(x, np.ndarray) or x.dtype not in _SPLIT_DTYPES:
+        if not isinstance(x, np.ndarray) or x.dtype not in (
+            self.float_dtype,
+            self.complex_dtype,
+        ):
             return 1
-        if x.size < SPLIT_MIN_POINTS or any(axis % x.ndim == 0 for axis in axes):
+        if any(axis % x.ndim == 0 for axis in axes):
+            return 1
+        return self._chunk_count(x.shape[0], x.size)
+
+    def _chunk_count(self, n: int, points: int) -> int:
+        """Chunks for ``n`` entries holding ``points`` in all (1 = unsplit).
+
+        One per thread when every thread gets at least one entry and
+        the whole call is large enough to pay for the hand-off.
+        """
+        if points < SPLIT_MIN_POINTS:
             return 1
         threads = self.fft_threads
-        return threads if 1 < threads <= x.shape[0] else 1
+        return threads if 1 < threads <= n else 1
 
-    def _split(self, fn: Callable[..., Any], x: np.ndarray, chunks: int, **kw: Any) -> np.ndarray:
-        """``fn`` over contiguous leading-axis chunks, on parallel threads.
+    def map_chunks(self, fn: Callable[[int, int], None], n: int, points: int) -> None:
+        """``fn`` over contiguous chunks of ``[0, n)``, on the transforms' threads."""
+        self._map(fn, n, self._chunk_count(n, points))
 
-        The calling thread runs the first chunk itself; the pool runs
-        the rest.  Each chunk writes its own slice of one output.
+    def _map(self, fn: Callable[[int, int], None], n: int, chunks: int) -> None:
+        """``fn(lo, hi)`` over ``chunks`` contiguous pieces of ``[0, n)``.
+
+        The calling thread runs the first piece itself; the pool runs
+        the rest.
         """
-        out = np.empty(x.shape, dtype=np.complex128)
-        bounds = [x.shape[0] * i // chunks for i in range(chunks + 1)]
+        if chunks == 1:
+            fn(0, n)
+            return
+        bounds = [n * i // chunks for i in range(chunks + 1)]
         pool = self._executor(chunks - 1)
-        futures = [
-            pool.submit(fn, x[lo:hi], out=out[lo:hi], **kw)
-            for lo, hi in zip(bounds[1:-1], bounds[2:])
-        ]
+        futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
         try:
-            fn(x[: bounds[1]], out=out[: bounds[1]], **kw)
+            fn(0, bounds[1])
         finally:
             for future in futures:
                 future.result()
-        return out
 
     def _executor(self, workers: int) -> ThreadPoolExecutor:
         """The chunk pool, with at least ``workers`` threads.
@@ -199,10 +233,13 @@ class NumpyBackend(ArrayBackend):
             self._pool, self._pool_pid, self._pool_size = pool, pid, workers
         return pool
 
-    def einsum(self, subscripts: str, *operands: Any) -> Any:
-        return np.einsum(subscripts, *operands)
+    def einsum(self, subscripts: str, *operands: Any, out: Any = None) -> Any:
+        return np.einsum(subscripts, *operands, out=out)
 
     # -- elementwise -------------------------------------------------------
+
+    def multiply(self, a: Any, b: Any, out: Any = None) -> Any:
+        return np.multiply(a, b, out=out)
 
     def conj(self, x: Any) -> Any:
         return np.conj(x)
@@ -210,8 +247,8 @@ class NumpyBackend(ArrayBackend):
     def real(self, x: Any) -> Any:
         return np.real(x)
 
-    def abs(self, x: Any) -> Any:
-        return np.abs(x)
+    def abs(self, x: Any, out: Any = None) -> Any:
+        return np.abs(x, out=out)
 
     def exp(self, x: Any) -> Any:
         return np.exp(x)

@@ -17,7 +17,7 @@ from typing import Any, Tuple
 import numpy as np
 import torch
 
-from .base import ArrayBackend
+from .base import ArrayBackend, into
 
 #: Environment variable overriding the torch device ("cpu", "cuda:0", ...).
 TORCH_DEVICE_ENV = "REPRO_TORCH_DEVICE"
@@ -70,23 +70,23 @@ class TorchBackend(ArrayBackend):
 
     # -- transforms --------------------------------------------------------
 
-    def fft2(self, x: Any) -> Any:
-        return torch.fft.fft2(x, dim=(-2, -1))
+    def fft2(self, x: Any, out: Any = None) -> Any:
+        return into(torch.fft.fft2(x, dim=(-2, -1)), out)
 
-    def ifft2(self, x: Any) -> Any:
-        return torch.fft.ifft2(x, dim=(-2, -1))
+    def ifft2(self, x: Any, out: Any = None) -> Any:
+        return into(torch.fft.ifft2(x, dim=(-2, -1)), out)
 
-    def fft(self, x: Any, axis: int) -> Any:
-        return torch.fft.fft(x, dim=axis)
+    def fft(self, x: Any, axis: int, out: Any = None) -> Any:
+        return into(torch.fft.fft(x, dim=axis), out)
 
-    def ifft(self, x: Any, axis: int) -> Any:
-        return torch.fft.ifft(x, dim=axis)
+    def ifft(self, x: Any, axis: int, out: Any = None) -> Any:
+        return into(torch.fft.ifft(x, dim=axis), out)
 
-    def einsum(self, subscripts: str, *operands: Any) -> Any:
+    def einsum(self, subscripts: str, *operands: Any, out: Any = None) -> Any:
         # torch.einsum requires a common dtype; numpy promotes implicitly
         # (float weights x complex spectra), so mirror that here.
         common = functools.reduce(torch.promote_types, (t.dtype for t in operands))
-        return torch.einsum(subscripts, *(t.to(common) for t in operands))
+        return into(torch.einsum(subscripts, *(t.to(common) for t in operands)), out)
 
     # -- elementwise -------------------------------------------------------
 
@@ -96,8 +96,8 @@ class TorchBackend(ArrayBackend):
     def real(self, x: Any) -> Any:
         return torch.real(x)
 
-    def abs(self, x: Any) -> Any:
-        return torch.abs(x)
+    def abs(self, x: Any, out: Any = None) -> Any:
+        return into(torch.abs(x), out)
 
     def exp(self, x: Any) -> Any:
         return torch.exp(x)

@@ -62,6 +62,7 @@ from repro.xp import (
     resolve_spec,
     validate_backend_spec,
 )
+from repro.xp.numpy_backend import SPLIT_MIN_POINTS
 
 HISTORY_PATH = Path(__file__).parent / "golden" / "mosaic_fast_history.json"
 
@@ -251,6 +252,54 @@ class TestAdapterConformance:
             atol=tol,  # log crosses zero at x == 1
         )
 
+    def test_transform_out_forms(self, backend, rng):
+        # Into a fresh array and in place, each the plain call's values.
+        x = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+        native = backend.asarray(x, "complex")
+        calls = {
+            "fft2": lambda a, out=None: backend.fft2(a, out=out),
+            "ifft2": lambda a, out=None: backend.ifft2(a, out=out),
+            "fft": lambda a, out=None: backend.fft(a, axis=-1, out=out),
+            "ifft": lambda a, out=None: backend.ifft(a, axis=-2, out=out),
+        }
+        for name, call in calls.items():
+            expected = backend.to_numpy(call(native))
+            buffer = backend.empty((3, 8, 8), "complex")
+            assert call(native, out=buffer) is buffer, name
+            assert np.array_equal(backend.to_numpy(buffer), expected), name
+            in_place = backend.asarray(x.copy(), "complex")
+            assert call(in_place, out=in_place) is in_place, name
+            assert np.array_equal(backend.to_numpy(in_place), expected), name
+
+    def test_elementwise_out_forms(self, backend, rng):
+        fields = backend.asarray(
+            rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)), "complex"
+        )
+        weight = backend.asarray(rng.standard_normal((4, 4)), "float")
+        product = backend.empty((2, 4, 4), "complex")
+        assert backend.multiply(weight, fields, out=product) is product
+        expected = backend.to_numpy(weight[None, :, :] * fields)
+        assert np.array_equal(backend.to_numpy(product), expected)
+        power = backend.empty((2, 4, 4), "float")
+        assert backend.abs(fields, out=power) is power
+        assert np.array_equal(backend.to_numpy(power), backend.to_numpy(backend.abs(fields)))
+        weights = backend.asarray(rng.random(2), "float")
+        image = backend.empty((4, 4), "float")
+        assert backend.einsum("k,kij->ij", weights, power, out=image) is image
+        expected = backend.to_numpy(backend.einsum("k,kij->ij", weights, power))
+        assert np.array_equal(backend.to_numpy(image), expected)
+
+    def test_map_chunks_covers_the_range(self, backend):
+        seen = []
+        lock = threading.Lock()
+
+        def record(lo, hi):
+            with lock:
+                seen.extend(range(lo, hi))
+
+        backend.map_chunks(record, 37, 10**6)
+        assert sorted(seen) == list(range(37))
+
     def test_where_and_conj(self, backend, rng):
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         native = backend.asarray(x, "complex")
@@ -409,7 +458,7 @@ class TestTransformThreads:
     def test_default_is_every_usable_core(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert NumpyBackend("float64").fft_threads == 3
-        assert NumpyBackend("float32").fft_threads == 1
+        assert NumpyBackend("float32").fft_threads == 3
 
     def test_scope_sets_the_count_and_restores_it(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -441,6 +490,54 @@ class TestTransformThreads:
             assert NumpyBackend("float32")._chunks(big, (-2, -1)) == 1
         with fft_threads_scope(1):
             assert backend._chunks(big, (-2, -1)) == 1
+
+    def test_map_chunks_rule(self):
+        # The transforms' rule: one chunk per thread, when every thread
+        # gets an entry and the stage holds SPLIT_MIN_POINTS points.
+        backend = NumpyBackend("float64")
+        seen = []
+        lock = threading.Lock()
+
+        def record(lo, hi):
+            with lock:
+                seen.append((lo, hi))
+
+        with fft_threads_scope(3):
+            backend.map_chunks(record, 10, SPLIT_MIN_POINTS)
+        assert sorted(seen) == [(0, 3), (3, 6), (6, 10)]
+        for n, points, threads in [
+            (10, SPLIT_MIN_POINTS - 1, 3),
+            (2, 10 * SPLIT_MIN_POINTS, 3),
+            (10, 10 * SPLIT_MIN_POINTS, 1),
+        ]:
+            seen.clear()
+            with fft_threads_scope(threads):
+                backend.map_chunks(record, n, points)
+            assert seen == [(0, n)], (n, points, threads)
+
+    def test_base_backend_runs_one_chunk(self):
+        seen = []
+        ArrayBackend().map_chunks(lambda lo, hi: seen.append((lo, hi)), 10, 10**9)
+        assert seen == [(0, 10)]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_float32_split_matches_one_thread(self, threads):
+        backend = NumpyBackend("float32")
+        x = self._stack().astype(np.complex64)
+        calls = [
+            lambda a: backend.fft2(a),
+            lambda a: backend.ifft2(a),
+            lambda a: backend.fft(a, axis=-1),
+            lambda a: backend.ifft(a, axis=-2),
+        ]
+        with fft_threads_scope(threads):
+            assert backend._chunks(x, (-2, -1)) == threads
+            split = [call(x) for call in calls]
+        with fft_threads_scope(1):
+            whole = [call(x) for call in calls]
+        for got, expected in zip(split, whole):
+            assert got.dtype == expected.dtype == np.complex64
+            assert np.array_equal(got, expected)
 
     def test_import_starts_no_thread_nor_scipy_fft(self):
         # scipy.fft is for float32 only; the chunk pool starts on demand.
