@@ -31,7 +31,6 @@ from ..optics.hopkins import (
     accumulate_backprojection,
     aerial_image,
     batched_field_stacks,
-    weight_fields,
 )
 from ..xp import ArrayBackend, resolve_backend
 from ..optics.kernels import SOCSKernels, build_socs_kernels
@@ -261,11 +260,7 @@ class LithographySimulator:
             fields_by_focus = dict(zip(combined, stacks))
         with self.obs.tracer.span("backproject.batched"):
             groups = [
-                (
-                    weight_fields(combined[f], fields_by_focus[f], self.xp),
-                    self.kernels_at(f),
-                )
-                for f in combined
+                (combined[f], fields_by_focus[f], self.kernels_at(f)) for f in combined
             ]
             return accumulate_backprojection(groups, xp=self.xp)
 

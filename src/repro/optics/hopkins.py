@@ -20,7 +20,15 @@ inverse transform over all (focus x kernel) spectra, and
 :func:`accumulate_backprojection` folds the whole multi-corner adjoint
 into one batched forward transform plus a *single* inverse FFT (the
 per-kernel weighted sums are accumulated on the frequency support, where
-the adjoint is diagonal, before transforming back).  A band-limited
+the adjoint is diagonal, before transforming back).
+
+Each batched stage writes one buffer per call and runs on the backend's
+threads (:meth:`~repro.xp.ArrayBackend.map_chunks`): the spectrum
+products go straight into the field stack, ``|E_k|^2`` into one float
+buffer, ``G'(I) * E_k`` straight into the adjoint stack, and the
+transforms and the conjugate product run in place.  Elementwise stages
+split along the kernel axis and the weighted k-sums along pixels, so
+every output element is computed exactly as in the unsplit call.  A band-limited
 support touches a small set of frequency rows, so the batched transforms
 prune the row pass to those rows — bitwise-identical output for the
 forward direction, since transforming exact zeros yields exact zeros.  A
@@ -54,6 +62,13 @@ from .tcc import FrequencySupport
 
 XpArg = Union[None, str, ArrayBackend]
 
+#: numpy evaluates ``a * f(b)`` as ``f(b) *= a`` once the temporary
+#: ``f(b)`` holds this many bytes (its temporary elision), and complex
+#: multiplication with FMA is not commutative bit for bit.  The adjoint's
+#: conjugate product is ``gathered * conj(spectra)``, so its in-place
+#: form takes the operand order numpy takes at each size.
+NUMPY_ELIDE_BYTES = 256 * 1024
+
 
 def _gather(full: Any, rows: Any, cols: Any) -> Any:
     """Support samples of ``full`` over its trailing two (grid) axes.
@@ -76,6 +91,71 @@ def _scatter(full: Any, rows: Any, cols: Any, values: Any) -> None:
         full[...] = values.reshape(tuple(full.shape))
     else:
         full[..., rows, cols] = values
+
+
+def _scatter_product(
+    xp: ArrayBackend, full: Any, rows: Any, cols: Any, a: Any, b: Any
+) -> None:
+    """Write support samples ``a * b`` into ``full``'s trailing grid axes.
+
+    On a dense support the product is written straight into ``full``;
+    on a band-limited one it is scattered from a temporary.
+    """
+    if rows is None:
+        xp.multiply(a, b, out=_gather(full, rows, cols))
+    else:
+        _scatter(full, rows, cols, xp.multiply(a, b))
+
+
+def _conjugate_product(xp: ArrayBackend, gathered: Any, spectra: Any) -> None:
+    """``gathered *= conj(spectra)`` in place, in kernel-axis chunks.
+
+    Takes the operand order numpy's temporary elision gives the unsplit
+    ``gathered * conj(spectra)``: the conjugate first once the whole
+    conjugate stack reaches :data:`NUMPY_ELIDE_BYTES`.
+    """
+    h, size = gathered.shape
+    conj_first = (
+        xp.name == "numpy" and h * size * xp.complex_dtype.itemsize >= NUMPY_ELIDE_BYTES
+    )
+
+    def product(lo: int, hi: int) -> None:
+        part = gathered[lo:hi]
+        conj = xp.conj(spectra[lo:hi])
+        if conj_first:
+            xp.multiply(conj, part, out=part)
+        else:
+            xp.multiply(part, conj, out=part)
+
+    xp.map_chunks(product, h, h * size)
+
+
+def _weighted_intensity(xp: ArrayBackend, weights: Any, fields: Any) -> Any:
+    """``sum_k w_k |E_k|^2`` of a ``(h, rows, cols)`` field stack.
+
+    ``|E_k|^2`` goes into one float buffer in kernel-axis chunks; the
+    weighted k-sum then runs in pixel chunks, each pixel summed over the
+    kernels exactly as the unsplit einsum sums it.
+    """
+    h = fields.shape[0]
+    grid = tuple(fields.shape[1:])
+    pixels = grid[0] * grid[1]
+    power = xp.empty((h,) + grid, "float")
+
+    def magnitude(lo: int, hi: int) -> None:
+        part = power[lo:hi]
+        xp.abs(fields[lo:hi], out=part)
+        xp.multiply(part, part, out=part)
+
+    xp.map_chunks(magnitude, h, h * pixels)
+    flat = power.reshape(h, pixels)
+    intensity = xp.empty((pixels,), "float")
+    xp.map_chunks(
+        lambda lo, hi: xp.einsum("k,kn->n", weights, flat[:, lo:hi], out=intensity[lo:hi]),
+        pixels,
+        h * pixels,
+    )
+    return intensity.reshape(grid)
 
 
 def field_stack(mask: np.ndarray, kernels: SOCSKernels, xp: XpArg = None) -> Any:
@@ -125,21 +205,8 @@ def aerial_image(
     if fields is None:
         fields = field_stack(mask, kernels, xp)
     kd = xp.kernel_data(kernels)
-    intensity = xp.einsum("k,kij->ij", kd.weights, xp.abs(fields) ** 2)
+    intensity = _weighted_intensity(xp, kd.weights, fields)
     return xp.to_numpy(dose * intensity)
-
-
-def weight_fields(df_di: np.ndarray, fields: Any, xp: XpArg = None) -> Any:
-    """Per-kernel weighted fields ``G'(I) * E_k``, on the backend.
-
-    The intensity-space gradient lives on the host (numpy float64, it
-    came through the resist adjoint); the fields are backend-native.
-    Routing the product through the backend keeps the result native and
-    at the policy dtype instead of letting numpy/torch promotion rules
-    decide.
-    """
-    xp = resolve_backend(xp)
-    return xp.asarray(df_di, "float")[None, :, :] * fields
 
 
 def backproject_fields(
@@ -295,9 +362,10 @@ def batched_field_stacks(
     """Coherent fields for several kernel sets from one vectorized ifft2.
 
     The batched counterpart of :func:`field_stack`: every (kernel-set x
-    kernel) spectrum product is stacked onto the leading axis and a
-    single batched ``ifft2`` transforms them all, sharing the cached
-    mask spectrum across sets.  Runs on the cache's backend.
+    kernel) spectrum product is written onto the leading axis of one
+    stack and a single batched ``ifft2`` transforms it in place, sharing
+    the cached mask spectrum across sets.  Runs on the cache's backend;
+    the products run in kernel-axis chunks on its threads.
 
     Args:
         cache: the mask's spectrum cache.
@@ -316,54 +384,70 @@ def batched_field_stacks(
     if cache.shape != shape:
         raise GridError(f"mask shape {cache.shape} != kernel grid {shape}")
     counts = [ks.num_kernels for ks in kernel_sets]
-    stacked = xp.zeros((sum(counts),) + shape, "complex")
+    # A dense support writes every sample, so its stack needs no zeros.
+    dense = all(ks.support.dense for ks in kernel_sets)
+    stack_shape = (sum(counts),) + shape
+    stacked = xp.empty(stack_shape, "complex") if dense else xp.zeros(stack_shape, "complex")
     pos = 0
     for ks in kernel_sets:
+        h = ks.num_kernels
         kd = xp.kernel_data(ks)
         m_sup = cache.gathered(ks.support)
         # Two-step view indexing (slice first, then the advanced index)
         # keeps the write portable across numpy/cupy/torch setitem rules.
-        block = stacked[pos : pos + ks.num_kernels]
-        _scatter(block, kd.rows, kd.cols, m_sup[None, :] * kd.spectra)
-        pos += ks.num_kernels
+        block = stacked[pos : pos + h]
+        xp.map_chunks(
+            lambda lo, hi: _scatter_product(
+                xp, block[lo:hi], kd.rows, kd.cols, m_sup, kd.spectra[lo:hi]
+            ),
+            h,
+            h * ks.support.size,
+        )
+        pos += h
     rows_used = _support_rows([ks.support for ks in kernel_sets], shape[0])
     if rows_used is None:
-        fields = xp.ifft2(stacked)
+        xp.ifft2(stacked, out=stacked)
     else:
         # Row-pruned separable inverse: the stacked spectra are nonzero
         # only on the band-limited support rows, so the first 1-D pass
         # skips the all-zero rows (bitwise-identical to the full ifft2 —
         # transforming exact zeros yields exact zeros).
         ru = xp.asarray(rows_used, "index")
-        fields = xp.zeros(tuple(stacked.shape), "complex")
-        fields[:, ru, :] = xp.ifft(stacked[:, ru, :], axis=-1)
-        fields = xp.ifft(fields, axis=-2)
+        support_rows = stacked[:, ru, :]
+        stacked[:, ru, :] = xp.ifft(support_rows, axis=-1, out=support_rows)
+        xp.ifft(stacked, axis=-2, out=stacked)
     out: List[Any] = []
     pos = 0
     for h in counts:
-        out.append(fields[pos : pos + h])
+        out.append(stacked[pos : pos + h])
         pos += h
     return out
 
 
 def accumulate_backprojection(
-    groups: Sequence[Tuple[Any, SOCSKernels]],
+    groups: Sequence[Tuple[np.ndarray, Any, SOCSKernels]],
     xp: XpArg = None,
 ) -> np.ndarray:
-    """Sum of back-projections over several (weighted_fields, kernels) groups.
+    """Sum of back-projections of ``G'(I) * E_k`` over several focus groups.
 
     Numerically equivalent to
-    ``sum(backproject_fields(wf, ks) for wf, ks in groups)`` but computed
-    with one batched forward FFT over all (group x kernel) fields and a
-    *single* inverse FFT: because the adjoint is diagonal on the
-    frequency support, the per-kernel weighted sums are accumulated
-    there before transforming back to the mask plane.
+    ``sum(backproject_fields(df_di * fields, ks) for df_di, fields, ks in groups)``
+    but computed with one batched forward FFT over all (group x kernel)
+    fields and a *single* inverse FFT: because the adjoint is diagonal
+    on the frequency support, the per-kernel weighted sums are
+    accumulated there before transforming back.
+
+    ``G'(I) * E_k`` is written straight into one adjoint stack, the
+    forward transform and the conjugate product run in place on it, and
+    the weighted k-sums run in pixel chunks, all on the backend's
+    threads.
 
     Args:
-        groups: ``(weighted_fields, kernels)`` pairs, one per focus
-            condition, with ``weighted_fields`` shaped
-            ``(h, rows, cols)`` holding ``G'(I) * E_k`` (any per-corner
-            dose factors already applied; numpy or backend-native).
+        groups: ``(df_di, fields, kernels)`` triples, one per focus
+            condition: ``df_di`` is the host intensity-space gradient
+            ``G'(I)`` (any per-corner dose factors already applied) and
+            ``fields`` the ``(h, rows, cols)`` field stack of ``kernels``
+            (numpy or backend-native).
         xp: array backend (default: the resolved process backend).
 
     Returns:
@@ -371,41 +455,58 @@ def accumulate_backprojection(
     """
     xp = resolve_backend(xp)
     groups = list(groups)
-    shape = common_grid_shape([ks for _, ks in groups])
+    shape = common_grid_shape([ks for _, _, ks in groups])
     total = 0
-    for wf, ks in groups:
-        if tuple(wf.shape) != (ks.num_kernels,) + shape:
+    for _, fields, ks in groups:
+        if tuple(fields.shape) != (ks.num_kernels,) + shape:
             raise GridError(
-                f"weighted_fields shape {tuple(wf.shape)} inconsistent with "
+                f"fields shape {tuple(fields.shape)} inconsistent with "
                 f"{ks.num_kernels} kernels on grid {shape}"
             )
         total += ks.num_kernels
+    pixels = shape[0] * shape[1]
     stacked = xp.empty((total,) + shape, "complex")
     pos = 0
-    for wf, ks in groups:
-        stacked[pos : pos + ks.num_kernels] = xp.asarray(wf, "complex")
-        pos += ks.num_kernels
-    rows_used = _support_rows([ks.support for _, ks in groups], shape[0])
+    for df_di, fields, ks in groups:
+        h = ks.num_kernels
+        weight = xp.asarray(df_di, "float")
+        fields = xp.asarray(fields, "complex")
+        block = stacked[pos : pos + h]
+        xp.map_chunks(
+            lambda lo, hi: xp.multiply(weight, fields[lo:hi], out=block[lo:hi]),
+            h,
+            h * pixels,
+        )
+        pos += h
+    rows_used = _support_rows([ks.support for _, _, ks in groups], shape[0])
     if rows_used is None:
-        w_hat = xp.fft2(stacked)
+        w_hat = xp.fft2(stacked, out=stacked)
     else:
         # Row-pruned separable forward: only the support rows of the
         # spectrum are ever gathered, so the second 1-D pass runs on
         # those rows alone.
         ru = xp.asarray(rows_used, "index")
-        w_hat = xp.fft(xp.fft(stacked, axis=-2)[:, ru, :], axis=-1)
+        w_hat = xp.fft(stacked, axis=-2, out=stacked)[:, ru, :]
+        xp.fft(w_hat, axis=-1, out=w_hat)
     accum = xp.zeros(shape, "complex")
     pos = 0
-    for _, ks in groups:
+    for _, _, ks in groups:
         h = ks.num_kernels
+        size = ks.support.size
         kd = xp.kernel_data(ks)
         rows = kd.rows
         if rows_used is not None:
             rows = xp.asarray(np.searchsorted(rows_used, ks.support.rows), "index")
         gathered = _gather(w_hat[pos : pos + h], rows, kd.cols)
-        # Keep the conjugate unnamed: numpy elides a >= 256 KiB temporary into
-        # the product, swapping operands, and FMA complex multiply is not commutative.
-        summed = xp.einsum("k,ks->s", kd.weights, gathered * xp.conj(kd.spectra))
+        _conjugate_product(xp, gathered, kd.spectra)
+        summed = xp.empty((size,), "complex")
+        xp.map_chunks(
+            lambda lo, hi: xp.einsum(
+                "k,ks->s", kd.weights, gathered[:, lo:hi], out=summed[lo:hi]
+            ),
+            size,
+            h * size,
+        )
         _scatter(accum, kd.rows, kd.cols, _gather(accum, kd.rows, kd.cols) + summed)
         pos += h
     return xp.to_numpy(2.0 * xp.real(xp.ifft2(accum)))

@@ -46,7 +46,6 @@ from repro.optics.hopkins import (
     backproject_fields,
     batched_field_stacks,
     field_stack,
-    weight_fields,
 )
 from repro.optics.kernels import SOCSKernels, common_grid_shape
 from repro.optics.tcc import FrequencySupport
@@ -54,7 +53,7 @@ from repro.process.corners import ProcessCorner, nominal_corner
 from repro.process.pvband import pv_band, pv_band_area
 from repro.workloads.generator import synthetic_canvas
 from repro.workloads.iccad2013 import load_benchmark
-from repro.xp import fft_threads_scope
+from repro.xp import fft_threads_scope, resolve_backend
 
 #: Thread counts the bitwise pins run the float64 transforms at.
 FFT_THREADS = (1, 2)
@@ -96,13 +95,13 @@ def reference_gradient(sim, mask, contributions, xp="numpy"):
     the per-kernel SOCS adjoint, then the corner's dose factor — one
     back-projection per corner, nothing shared.
     """
+    backend = resolve_backend(xp)
     total = np.zeros(sim.grid.shape)
     for corner, df_di in contributions:
         kernels = sim.kernels_at(corner.defocus_nm)
-        weighted = weight_fields(
-            sim.resist.diffuse(df_di), field_stack(mask, kernels, xp=xp), xp
-        )
-        total += corner.dose * backproject_fields(weighted, kernels, xp=xp)
+        weight = backend.asarray(sim.resist.diffuse(df_di), "float")
+        weighted = weight[None, :, :] * field_stack(mask, kernels, xp=backend)
+        total += corner.dose * backproject_fields(weighted, kernels, xp=backend)
     return total
 
 
@@ -586,6 +585,32 @@ class TestWindowBackends:
         assert np.allclose(grad, reference, rtol=rtol, atol=atol)
 
 
+class TestSinglePrecisionThreads:
+    """numpy:float32 splits its transforms and engine stages too, bit for bit."""
+
+    def test_window_engine_same_bits_at_every_count(self, window_sim, rng):
+        simulator = window_sim.model.simulator_for(
+            window_sim.grid.shape, backend="numpy:float32"
+        )
+        simulator._kernel_cache = window_sim._kernel_cache
+        mask = random_mask(rng, simulator.grid.shape)
+        contributions = [
+            (corner, rng.standard_normal(simulator.grid.shape))
+            for corner in simulator.corners()
+        ]
+        results = []
+        for threads in PARENT_PIN_THREADS:
+            with fft_threads_scope(threads):
+                images = simulator.simulate_all_corners(mask)
+                grad = simulator.gradient_all_corners(mask, contributions)
+            results.append((images, grad))
+        assert results[0][0][0].dtype == np.float32
+        for images, grad in results[1:]:
+            for image, first in zip(images, results[0][0]):
+                assert np.array_equal(image, first)
+            assert np.array_equal(grad, results[0][1])
+
+
 class TestHopkinsBatching:
     """Unit-level equivalence of the batched hopkins primitives."""
 
@@ -605,14 +630,9 @@ class TestHopkinsBatching:
         for focus in (0.0, 25.0):
             kernels = tiny_sim.kernels_at(focus)
             df_di = rng.standard_normal(tiny_sim.grid.shape)
-            groups.append(
-                (weight_fields(df_di, field_stack(mask, kernels, xp=backend), backend),
-                 kernels)
-            )
+            groups.append((df_di, field_stack(mask, kernels, xp=backend), kernels))
             reference += backproject_fields(
-                weight_fields(
-                    df_di, field_stack(mask, kernels, xp="numpy"), "numpy"
-                ),
+                df_di[None, :, :] * field_stack(mask, kernels, xp="numpy"),
                 kernels,
                 xp="numpy",
             )
