@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .. import constants
-from ..config import LithoConfig, OptimizerConfig
+from ..config import LithoConfig
 from ..geometry.edges import Edge, EdgeOrientation, extract_edges
 from ..geometry.layout import Layout
 from ..geometry.contours import edge_displacement

@@ -14,7 +14,7 @@ recommended (it guards against truncated files).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Union
+from typing import Union
 
 from ..errors import LayoutIOError
 from ..geometry.layout import Layout

@@ -9,7 +9,6 @@ narrower than min-space disappears under closing of the background.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from scipy import ndimage

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..config import GridSpec, OpticsConfig
 from ..errors import OpticsError
-from .source import SourcePoint, default_source
+from .source import default_source
 from .tcc import (
     FrequencySupport,
     build_amplitude_matrix,

@@ -15,7 +15,7 @@ composite), mirroring the area spread of Table 2 in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..errors import GeometryError
 from ..geometry.layout import Layout

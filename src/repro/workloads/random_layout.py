@@ -8,7 +8,7 @@ a seeded RNG so failures reproduce.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
