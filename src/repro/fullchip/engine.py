@@ -263,7 +263,7 @@ class FullChipResult:
         runtime_s: end-to-end wall clock of the run.
         telemetry_dir: where telemetry artifacts were written (None
             when telemetry was off).
-        fft_threads: threads the chip evaluation's transforms split
+        fft_threads: threads the chip evaluation's engine stages split
             across, in this process.
         model_tier: where this process found the ambit model (see
             :attr:`FullChipEngine.model_tier`).

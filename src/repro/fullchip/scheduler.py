@@ -105,8 +105,8 @@ class TileJob:
             environment / numpy-reference chain.  Backends are cached
             per spec and process, so every tile a pool worker solves
             batches through one backend instance.
-        fft_threads: threads each float64 transform of the solve may
-            split across (see :func:`repro.xp.fft_threads_scope`); the
+        fft_threads: threads each transform and engine stage of the
+            solve may split across (see :func:`repro.xp.fft_threads_scope`); the
             engine sets usable cores divided by the solver processes it
             runs at once.  ``None`` uses every core the solving process
             may run on.
@@ -159,7 +159,7 @@ class TileResult:
         telemetry: compact worker-telemetry summary (None when the job
             ran without telemetry, came from cache, or died before the
             worker could summarize).
-        fft_threads: threads the solve's transforms split across (None
+        fft_threads: threads the solve's engine stages split across (None
             when no solve ran: an empty or cached tile).
         model_tier: where the solving process found the ambit model:
             ``"memory"``, ``"disk"`` or ``"built"`` (None when no solve

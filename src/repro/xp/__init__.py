@@ -21,9 +21,10 @@ set of converted spectra) instead of one per tile — see
 library (:func:`validate_backend_spec`), so configs can reject typos
 eagerly while torch/cupy stay optional imports.
 
-The float64 numpy backend splits large batched transforms across
-threads: every usable core (:func:`usable_cores`) by default, or the
-count a solver process is given through :func:`fft_threads_scope`.
+The numpy backends split large batched transforms and the engine's
+elementwise stages (:meth:`ArrayBackend.map_chunks`) across threads:
+every usable core (:func:`usable_cores`) by default, or the count a
+solver process is given through :func:`fft_threads_scope`.
 """
 
 from __future__ import annotations
