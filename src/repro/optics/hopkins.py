@@ -28,14 +28,16 @@ products go straight into the field stack, ``|E_k|^2`` into one float
 buffer, ``G'(I) * E_k`` straight into the adjoint stack, and the
 transforms and the conjugate product run in place.  Elementwise stages
 split along the kernel axis and the weighted k-sums along pixels, so
-every output element is computed exactly as in the unsplit call.  A band-limited
-support touches a small set of frequency rows, so the batched transforms
-prune the row pass to those rows — bitwise-identical output for the
-forward direction, since transforming exact zeros yields exact zeros.  A
-dense support (every grid frequency, as the full-chip window kernels
-have) has nothing to prune: its samples are the grid in row-major order,
-so :func:`_scatter` and :func:`_gather` reshape instead of indexing and
-the transforms run over the whole grid.
+every output element is computed exactly as in the unsplit call.
+
+A band-limited support touches a small set of frequency rows, so the
+batched transforms prune the row pass to those rows — bitwise-identical
+output for the forward direction, since transforming exact zeros yields
+exact zeros.  A dense support (every grid frequency, as the full-chip
+window kernels have) has nothing to prune: its samples are the grid in
+row-major order, so :func:`_scatter` and :func:`_gather` reshape instead
+of indexing, the products are written straight into the stack, and the
+transforms run over the whole grid.
 
 Array backends: every entry point takes an optional ``xp``
 (:class:`~repro.xp.ArrayBackend` or spec string).  The default resolves
