@@ -153,7 +153,9 @@ def _weighted_intensity(xp: ArrayBackend, weights: Any, fields: Any) -> Any:
     flat = power.reshape(h, pixels)
     intensity = xp.empty((pixels,), "float")
     xp.map_chunks(
-        lambda lo, hi: xp.einsum("k,kn->n", weights, flat[:, lo:hi], out=intensity[lo:hi]),
+        lambda lo, hi: xp.einsum(
+            "k,kn->n", weights, flat[:, lo:hi], out=intensity[lo:hi]
+        ),
         pixels,
         h * pixels,
     )
@@ -389,7 +391,8 @@ def batched_field_stacks(
     # A dense support writes every sample, so its stack needs no zeros.
     dense = all(ks.support.dense for ks in kernel_sets)
     stack_shape = (sum(counts),) + shape
-    stacked = xp.empty(stack_shape, "complex") if dense else xp.zeros(stack_shape, "complex")
+    allocate = xp.empty if dense else xp.zeros
+    stacked = allocate(stack_shape, "complex")
     pos = 0
     for ks in kernel_sets:
         h = ks.num_kernels

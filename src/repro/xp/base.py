@@ -187,9 +187,10 @@ class ArrayBackend:
 
         ``fn`` covers ``[lo, hi)`` of one axis of an engine stage and
         writes only that part of its output, so disjoint ranges may run
-        at once.  ``points`` is the size of the whole stage.  This base
-        runs ``fn(0, n)`` once on the calling thread; a backend with a
-        thread pool may cut the range into contiguous chunks.
+        at once.  ``points`` is the size of the whole stage.  Returns
+        once every chunk has run.  This base runs ``fn(0, n)`` once on
+        the calling thread; a backend with a thread pool may cut the
+        range into contiguous chunks.
         """
         fn(0, n)
 
