@@ -795,8 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
         fullchip, "--executor", "executor", choices=("pool", "queue", "serial"),
         help="tile placement: 'pool' (fork pool; inline when --workers 1), "
              "'serial' (always inline), or 'queue' (durable file-backed "
-             "job queue with crash-recovering 'repro worker' processes; "
-             "needs --telemetry-dir)",
+             "job queue with crash-recovering workers forked from this "
+             "process; needs --telemetry-dir)",
     )
     _config_flag(fullchip, "--mode", "solver_mode", choices=("fast", "exact"))
     fullchip.add_argument("--scale", choices=("reduced", "paper"), default="reduced")

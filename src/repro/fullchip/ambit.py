@@ -336,9 +336,9 @@ class WindowSimulator(LithographySimulator):
 # fork-based worker pool, so every worker inherits the built model
 # through copy-on-write memory instead of rebuilding it.  The disk tier
 # keeps one ``.npz`` per model under the user's cache directory, so a
-# fresh process (a CLI run, a ``repro worker``, the service) reads the
-# stencils an earlier process derived, bit for bit, instead of deriving
-# them again.
+# fresh process (a CLI run, a hand-launched ``repro worker``, the
+# service) reads the stencils an earlier process derived, bit for bit,
+# instead of deriving them again.
 
 #: Layout of a disk entry; part of every entry's key.
 _ENTRY_FORMAT = 1
@@ -355,6 +355,17 @@ _DISK_HITS = 0
 _DISK_MISSES = 0
 #: Cache directories a write failed in; this process no longer uses them.
 _UNWRITABLE_DIRS: Set[Path] = set()
+
+
+def _new_model_cache_lock() -> None:
+    # A lookup holds the lock through a whole disk read or build, so a
+    # child forked meanwhile would inherit it held, with no thread left
+    # to release it.
+    global _MODEL_CACHE_LOCK
+    _MODEL_CACHE_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_model_cache_lock)
 
 
 @dataclass(frozen=True)

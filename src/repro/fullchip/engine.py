@@ -121,8 +121,9 @@ class FullChipConfig:
             fork pool, inline when ``workers <= 1`` or for one tile),
             ``"serial"`` (always inline), or ``"queue"`` (the durable
             file-backed job queue under ``<telemetry_dir>/queue/`` with
-            crash-recovering ``repro worker`` processes; requires a
-            ``telemetry_dir``).
+            crash-recovering workers forked from the engine's process,
+            which hand-launched ``repro worker`` processes may join;
+            requires a ``telemetry_dir``).
         queue_lease_s: queue executor only — lease term granted to a
             worker per claim; a lease not renewed (via heartbeat
             pulses) within this window is swept and the tile requeued.

@@ -9,11 +9,11 @@ batch through one of three interchangeable executors:
   the pool's pipe, bounded waits interleaved with liveness polling.
 * :class:`QueueWorkerExecutor` — durable at-least-once execution over
   the file-backed :class:`~repro.fullchip.queue.TileJobQueue`: jobs are
-  persisted, any number of independently launched ``repro worker``
-  processes claim leases and commit fenced results, and the parent
-  supervises — sweeping expired leases, emitting one latched
-  ``job_requeued`` / ``job_quarantined`` event per incident, and
-  collecting terminal records as :class:`TileResult`s.
+  persisted, local workers forked from the parent and any number of
+  hand-launched ``repro worker`` processes claim leases and commit
+  fenced results, and the parent supervises — sweeping expired leases,
+  emitting one latched ``job_requeued`` / ``job_quarantined`` event per
+  incident, and collecting terminal records as :class:`TileResult`s.
 
 All three share one :class:`ExecutionContext`, so per-tile accounting,
 watchdog/status plumbing, telemetry merging, and progress callbacks are
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import logging
 import os
-import subprocess
-import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from multiprocessing import connection
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,9 +43,11 @@ from .scheduler import (
     TileJob,
     TileResult,
     _pool_context,
+    release_inherited_sockets,
     solve_tile_job,
     warm_model_cache,
 )
+from .worker import run_worker
 
 logger = logging.getLogger(__name__)
 
@@ -263,7 +265,9 @@ class PoolExecutor(TileExecutor):
         results: Dict[Tuple[int, int], TileResult] = {}
         warm_model_cache(jobs)
         with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(jobs)), mp_context=_pool_context()
+            max_workers=min(self.workers, len(jobs)),
+            mp_context=_pool_context(),
+            initializer=release_inherited_sockets,
         ) as pool:
             futures = {pool.submit(solve_tile_job, job): job for job in jobs}
             pending = set(futures)
@@ -312,9 +316,9 @@ class QueueWorkerExecutor(TileExecutor):
     """Durable-queue execution: persisted jobs, leased workers, fencing.
 
     The executor seeds (or adopts, on resume) the queue under
-    ``<run_dir>/queue/``, optionally spawns ``workers`` local
-    ``repro worker`` subprocesses, and supervises until every tile
-    reaches a terminal record:
+    ``<run_dir>/queue/``, optionally starts ``workers`` local workers,
+    each a fork of this process running :func:`run_worker`, and
+    supervises until every tile reaches a terminal record:
 
     * sweeps expired leases (workers sweep too — whoever gets there
       first wins the incident exactly once),
@@ -359,34 +363,40 @@ class QueueWorkerExecutor(TileExecutor):
 
     # -- worker fleet -------------------------------------------------------
 
-    def _spawn_worker(self) -> subprocess.Popen:
-        import repro
-
-        env = os.environ.copy()
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + existing if existing else src_root
+    def _spawn_worker(self) -> BaseProcess:
+        # A fork inherits the imported package and the parent's models,
+        # so the worker claims within milliseconds of its start.
+        proc = _pool_context().Process(
+            target=_forked_worker,
+            args=(str(self.run_dir), self.poll_s),
+            name="repro-queue-worker",
         )
-        cmd = [
-            sys.executable, "-m", "repro", "worker", str(self.run_dir),
-            "--poll", str(self.poll_s),
-        ]
-        return subprocess.Popen(cmd, env=env)
+        proc.start()
+        return proc
+
+    def _wait_for_fleet(self, fleet: List[BaseProcess]) -> None:
+        """Sleep up to ``poll_s``, waking at once when a local worker exits."""
+        live = [proc for proc in fleet if proc.is_alive()]
+        if not live:
+            time.sleep(self.poll_s)
+            return
+        ready = connection.wait([proc.sentinel for proc in live], self.poll_s)
+        for proc in live:
+            if proc.sentinel in ready:
+                proc.join()  # reap it, so sweeps see its pid gone
 
     @staticmethod
-    def _shutdown_fleet(fleet: List[subprocess.Popen], grace_s: float = 10.0) -> None:
+    def _shutdown_fleet(fleet: List[BaseProcess], grace_s: float = 10.0) -> None:
         deadline = time.monotonic() + grace_s
         for proc in fleet:
-            while proc.poll() is None and time.monotonic() < deadline:
-                time.sleep(0.05)
-            if proc.poll() is None:
+            proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
                 proc.terminate()
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
+                proc.join(5.0)
+                if proc.is_alive():
                     proc.kill()
-                    proc.wait()
+                    proc.join()
+            proc.close()
 
     # -- incident events ----------------------------------------------------
 
@@ -514,7 +524,7 @@ class QueueWorkerExecutor(TileExecutor):
             adopt=adopt,
             trace_id=trace_id,
         )
-        fleet: List[subprocess.Popen] = []
+        fleet: List[BaseProcess] = []
         respawns = 0
         emitted: set = set()
         settled: set = set()
@@ -564,7 +574,7 @@ class QueueWorkerExecutor(TileExecutor):
                     elif self._abandoned(queue, fleet):
                         self._fail_abandoned(queue, ctx, settled, results)
                         break
-                time.sleep(self.poll_s)
+                self._wait_for_fleet(fleet)
         except FullChipCancelled:
             # Cancelled work is abandoned: stop the fleet at once rather
             # than let it claim and solve more tiles through the grace.
@@ -595,15 +605,15 @@ class QueueWorkerExecutor(TileExecutor):
             ctx.status.mark_running(parsed[0], pid=int(lease.get("pid", 0) or 0))
 
     def _fleet_starved(
-        self, queue: TileJobQueue, fleet: List[subprocess.Popen]
+        self, queue: TileJobQueue, fleet: List[BaseProcess]
     ) -> bool:
         """True when we spawn workers and none of ours is alive."""
         if not self.spawn_workers:
             return False
-        return all(proc.poll() is not None for proc in fleet)
+        return not any(proc.is_alive() for proc in fleet)
 
     def _abandoned(
-        self, queue: TileJobQueue, fleet: List[subprocess.Popen]
+        self, queue: TileJobQueue, fleet: List[BaseProcess]
     ) -> bool:
         """Nothing in flight and the queue has been dead quiet past grace.
 
@@ -653,6 +663,12 @@ class QueueWorkerExecutor(TileExecutor):
                 f"tile {first_failure.index} failed: "
                 f"{first_failure.status.error}"
             )
+
+
+def _forked_worker(run_dir: str, poll_s: float) -> None:
+    """A local queue worker: drop the parent's sockets, then pull leases."""
+    release_inherited_sockets()
+    run_worker(run_dir, poll_s)
 
 
 def executor_for(

@@ -6,8 +6,8 @@ executed by the module-level :func:`solve_tile_job` through a pluggable
 :class:`~repro.fullchip.executor.TileExecutor`: inline
 (``SerialExecutor``), on a fork ``ProcessPoolExecutor``
 (``PoolExecutor``), or over the durable file-backed job queue
-(``QueueWorkerExecutor`` + :mod:`repro.fullchip.queue`, any number of
-``repro worker`` processes).
+(``QueueWorkerExecutor`` + :mod:`repro.fullchip.queue`, forked local
+workers plus any number of hand-launched ``repro worker`` processes).
 
 Fault isolation mirrors the batch harness: per-tile retries, a per-tile
 wall-clock budget (:func:`repro.harness.call_with_budget` inside the
@@ -32,6 +32,8 @@ import json
 import logging
 import multiprocessing
 import os
+import socket
+import stat
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -489,6 +491,35 @@ def _pool_context():
         return multiprocessing.get_context("fork")
     except ValueError:
         return multiprocessing.get_context()
+
+
+def release_inherited_sockets() -> None:
+    """Point every inet socket descriptor of this process at ``/dev/null``.
+
+    The first call of a forked tile process.  A fork of ``repro serve``
+    inherits the listening socket and other clients' connections; a
+    tile process needs none of them, and holding them would keep the
+    port bound and those connections open for as long as it lives.  The
+    descriptors are redirected rather than closed, so a stale socket
+    object closing its number later cannot close a file opened since.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir(fd_dir):
+            fd = int(name)
+            try:
+                if fd == devnull or not stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    continue
+                probe = socket.socket(fileno=fd)
+            except OSError:  # closed since the listing (the listing's own)
+                continue
+            family = probe.family
+            probe.detach()
+            if family in (socket.AF_INET, socket.AF_INET6):
+                os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _clear_stale_heartbeats(

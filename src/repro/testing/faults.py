@@ -58,7 +58,7 @@ logger = logging.getLogger(__name__)
 
 #: Environment variable holding the tile fault plan: ``;``-separated
 #: ``kind@row,col[:arg]`` entries.  Read inside the tile worker, so pool
-#: forks and hand-launched ``repro worker`` processes inherit it.
+#: and queue forks and hand-launched ``repro worker`` processes inherit it.
 TILE_FAULTS_ENV = "REPRO_FULLCHIP_FAULTS"
 
 #: Fault kind -> default argument (None: the kind takes no argument).

@@ -84,6 +84,16 @@ _instances: Dict[Tuple[str, str], ArrayBackend] = {}
 _instances_lock = threading.Lock()
 
 
+def _new_instances_lock() -> None:
+    # A child forked while another thread makes a backend would inherit
+    # the lock held, with no thread left to release it.
+    global _instances_lock
+    _instances_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_instances_lock)
+
+
 def parse_backend_spec(spec: str) -> Tuple[str, str]:
     """Split a spec into ``(name, precision)``, validating both parts.
 

@@ -1,12 +1,13 @@
 """Live monitoring: heartbeats, liveness watchdog, status feed, watch CLI.
 
 The load-bearing acceptance fixture runs a real 2-worker full-chip
-solve with one tile forced to stall via ``REPRO_FULLCHIP_FAULTS``
-and checks the whole live pipeline end to end: the watchdog raises a
-``worker_stalled`` event while the run is in flight, ``status.json``'s
-final tile states match the returned :class:`TileResult`s exactly,
-every process left a resource timeline, and ``repro watch --once``
-(dashboard and ``--json``) exits 3 on the failed run.  Unit tests pin
+solve with one tile forced to stall via ``REPRO_FULLCHIP_FAULTS``, on
+the process pool and again on the durable queue, and checks the whole
+live pipeline end to end: the watchdog raises a ``worker_stalled``
+event while the run is in flight, ``status.json``'s final tile states
+match the returned :class:`TileResult`s exactly, every process left a
+resource timeline, and ``repro watch --once`` (dashboard and
+``--json``) exits 3 on the failed run.  Unit tests pin
 the watchdog/status/ETA math with fake clocks so no timing is left to
 the scheduler.
 """
@@ -70,14 +71,14 @@ def _fc_litho() -> LithoConfig:
     )
 
 
-@pytest.fixture(scope="module")
-def stall_run(tmp_path_factory):
-    """One 2-worker solve with tile (0,1) stalled for 4s, module-shared.
+def _stall_run(tmp_path_factory, executor):
+    """One 2-worker solve on ``executor`` with tile (0,1) stalled for 4s.
 
-    Module scope cannot use ``monkeypatch``, so the env hook is set and
+    The fixtures that call this are shared by a whole test class or
+    module, which cannot use ``monkeypatch``, so the env hook is set and
     restored by hand.
     """
-    run_dir = tmp_path_factory.mktemp("stall_run")
+    run_dir = tmp_path_factory.mktemp(f"stall_run_{executor}")
     events = []
     obs = Instrumentation.collecting(
         trace=True, metrics=True, timeline=True, events_sink=events.append
@@ -88,6 +89,7 @@ def stall_run(tmp_path_factory):
         config=FullChipConfig(
             tile_nm=1024.0,
             probe_extent_nm=PROBE_NM,
+            executor=executor,
             workers=2,
             keep_going=True,
             telemetry_dir=str(run_dir),
@@ -108,6 +110,11 @@ def stall_run(tmp_path_factory):
         else:
             os.environ[TILE_FAULTS_ENV] = saved
     return run_dir, obs, events, result
+
+
+@pytest.fixture(scope="module")
+def stall_run(tmp_path_factory):
+    return _stall_run(tmp_path_factory, "pool")
 
 
 class TestAcceptance:
@@ -227,6 +234,19 @@ class TestAcceptance:
         assert main(["report", str(run_dir)]) == 0
         text = capsys.readouterr().out
         assert "--- resources ---" in text and "rss peak" in text
+
+
+class TestQueueAcceptance(TestAcceptance):
+    """The same assertions with the tiles solved on the durable queue.
+
+    A queue worker's lease is renewed from a daemon thread for as long
+    as its process lives, so a worker that hangs keeps its lease: only
+    the watchdog flags it, as on the pool.
+    """
+
+    @pytest.fixture(scope="class")
+    def stall_run(self, tmp_path_factory):
+        return _stall_run(tmp_path_factory, "queue")
 
 
 class TestHeartbeatWriter:
