@@ -7,9 +7,9 @@ live pipeline end to end: the watchdog raises a ``worker_stalled``
 event while the run is in flight, ``status.json``'s final tile states
 match the returned :class:`TileResult`s exactly, every process left a
 resource timeline, and ``repro watch --once`` (dashboard and
-``--json``) exits 3 on the failed run.  Unit tests pin
-the watchdog/status/ETA math with fake clocks so no timing is left to
-the scheduler.
+``--json``) exits 3 on the failed run.  Unit tests pin the
+watchdog/status/ETA math with fake clocks so no timing is left to the
+scheduler.
 """
 
 import json
