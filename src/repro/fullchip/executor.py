@@ -32,7 +32,16 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import FullChipCancelled, FullChipError
 from ..harness import CellStatus
@@ -48,6 +57,9 @@ from .scheduler import (
     warm_model_cache,
 )
 from .worker import run_worker
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from multiprocessing.synchronize import Event
 
 logger = logging.getLogger(__name__)
 
@@ -363,12 +375,12 @@ class QueueWorkerExecutor(TileExecutor):
 
     # -- worker fleet -------------------------------------------------------
 
-    def _spawn_worker(self) -> BaseProcess:
+    def _spawn_worker(self, stop: Event) -> BaseProcess:
         # A fork inherits the imported package and the parent's models,
         # so the worker claims within milliseconds of its start.
         proc = _pool_context().Process(
             target=_forked_worker,
-            args=(str(self.run_dir), self.poll_s),
+            args=(str(self.run_dir), self.poll_s, stop),
             name="repro-queue-worker",
         )
         proc.start()
@@ -524,6 +536,9 @@ class QueueWorkerExecutor(TileExecutor):
             adopt=adopt,
             trace_id=trace_id,
         )
+        # Set once the run is over, whatever the outcome: idle local
+        # workers wake and exit, busy ones claim nothing more.
+        stop = _pool_context().Event()
         fleet: List[BaseProcess] = []
         respawns = 0
         emitted: set = set()
@@ -532,7 +547,7 @@ class QueueWorkerExecutor(TileExecutor):
         grace_s = 10.0
         try:
             if self.spawn_workers:
-                fleet = [self._spawn_worker() for _ in range(self.workers)]
+                fleet = [self._spawn_worker(stop) for _ in range(self.workers)]
             while True:
                 # Cancelling here lets the finally-clause shut the local
                 # fleet down; the caller sweeps any expired leases the
@@ -570,7 +585,7 @@ class QueueWorkerExecutor(TileExecutor):
                             "queue: respawning worker (%d/%d)",
                             respawns, self.max_respawns,
                         )
-                        fleet.append(self._spawn_worker())
+                        fleet.append(self._spawn_worker(stop))
                     elif self._abandoned(queue, fleet):
                         self._fail_abandoned(queue, ctx, settled, results)
                         break
@@ -581,6 +596,7 @@ class QueueWorkerExecutor(TileExecutor):
             grace_s = 0.0
             raise
         finally:
+            stop.set()
             self._shutdown_fleet(fleet, grace_s=grace_s)
         return results
 
@@ -665,10 +681,10 @@ class QueueWorkerExecutor(TileExecutor):
             )
 
 
-def _forked_worker(run_dir: str, poll_s: float) -> None:
+def _forked_worker(run_dir: str, poll_s: float, stop: Event) -> None:
     """A local queue worker: drop the parent's sockets, then pull leases."""
     release_inherited_sockets()
-    run_worker(run_dir, poll_s)
+    run_worker(run_dir, poll_s, stop=stop)
 
 
 def executor_for(

@@ -34,12 +34,15 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..errors import FullChipError
 from ..obs.live import HEARTBEAT_DIRNAME
 from .queue import QUEUE_DIRNAME, ClaimedJob, TileJobQueue
 from .scheduler import solve_tile_job
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from multiprocessing.synchronize import Event
 
 logger = logging.getLogger(__name__)
 
@@ -178,6 +181,7 @@ def run_worker(
     poll_s: float = 0.5,
     exit_when_drained: bool = True,
     max_jobs: Optional[int] = None,
+    stop: Optional[Event] = None,
 ) -> int:
     """Pull leases from ``<run_dir>/queue/`` until drained (or forever).
 
@@ -190,6 +194,10 @@ def run_worker(
             across successive runs of the same directory).
         max_jobs: optional cap on claims processed before returning
             (used by tests to script exact worker behavior).
+        stop: set by the supervising engine once its run is over; the
+            worker then claims nothing more, and an idle worker wakes at
+            once instead of sleeping out ``poll_s``.  None (a
+            hand-launched worker) waits for the queue to drain.
 
     Returns:
         A process exit code: 0 always — per-tile failures are queue
@@ -208,19 +216,19 @@ def run_worker(
         "worker %d pulling from %s (%d tiles)",
         os.getpid(), queue.root, len(queue.tiles()),
     )
+    idle = time.sleep if stop is None else stop.wait
     processed = 0
-    while True:
+    while stop is None or not stop.is_set():
         queue.sweep_expired(heartbeat_dir=heartbeat_dir)
         claim = queue.claim()
         if claim is None:
-            if queue.drained():
-                if exit_when_drained:
-                    logger.info(
-                        "worker %d: queue drained after %d job(s)",
-                        os.getpid(), processed,
-                    )
-                    return 0
-            time.sleep(poll_s)
+            if exit_when_drained and queue.drained():
+                logger.info(
+                    "worker %d: queue drained after %d job(s)",
+                    os.getpid(), processed,
+                )
+                return 0
+            idle(poll_s)
             continue
         logger.info(
             "worker %d claimed tile %s (attempt %d)",
@@ -238,3 +246,8 @@ def run_worker(
                 "worker %d: reached max_jobs=%d", os.getpid(), max_jobs
             )
             return 0
+    logger.info(
+        "worker %d: stopped by its supervisor after %d job(s)",
+        os.getpid(), processed,
+    )
+    return 0

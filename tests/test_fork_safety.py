@@ -167,7 +167,7 @@ def test_forked_worker_holds_no_inherited_inet_socket(tmp_path, monkeypatch):
     }
     report = tmp_path / "fds.json"
 
-    def report_fds(run_dir, poll_s):
+    def report_fds(run_dir, poll_s, stop):
         # Runs in the child where run_worker would.
         report.write_text(json.dumps(
             {name: os.readlink(f"/proc/self/fd/{fd}") for name, fd in fds.items()}
@@ -175,7 +175,8 @@ def test_forked_worker_holds_no_inherited_inet_socket(tmp_path, monkeypatch):
 
     monkeypatch.setattr(executor_mod, "run_worker", report_fds)
     try:
-        proc = QueueWorkerExecutor(tmp_path, workers=1)._spawn_worker()
+        stop = executor_mod._pool_context().Event()
+        proc = QueueWorkerExecutor(tmp_path, workers=1)._spawn_worker(stop)
         proc.join(HANG_S)
         assert proc.exitcode == 0
         seen = json.loads(report.read_text())

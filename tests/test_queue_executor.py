@@ -11,6 +11,7 @@ executor dispatch seam.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.config import (
 )
 from repro.errors import FullChipError
 from repro.fullchip import (
+    ExecutionContext,
     FullChipConfig,
     FullChipEngine,
     PoolExecutor,
@@ -39,7 +41,8 @@ from repro.fullchip import (
     run_tile_jobs,
     run_worker,
 )
-from repro.fullchip.queue import QUEUE_DIRNAME, QueueConfig
+from repro.fullchip.queue import DONE_DIRNAME, QUEUE_DIRNAME, QueueConfig
+from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
 from repro.obs import Instrumentation
 from repro.testing.faults import TILE_FAULTS_ENV
@@ -142,6 +145,38 @@ class TestRunWorker:
         )
         assert main(["worker", str(tmp_path), "--poll", "0.05"]) == 0
         assert queue.drained()
+
+
+class TestIdleWorkersStop:
+    def test_run_returns_once_the_last_tile_settles(self, tmp_path):
+        """An idle local worker must not sleep out ``poll_s`` at the end.
+
+        Tile (0, 0)'s core is empty, so it settles at once and its
+        worker goes idle while the other tile is still solving.
+        """
+        plan = build_tile_plan(Rect(0, 0, 2048, 1024), 1024.0, 192.0, PIXEL_NM)
+        layout = Layout.from_rects(
+            "right-core-only",
+            [Rect(1300, 300, 1500, 700), Rect(1600, 400, 1700, 800)],
+            clip=Rect(0, 0, 2048, 1024),
+        )
+        jobs = [
+            TileJob(
+                tile=tile,
+                layout=tile.clip_layout(layout),
+                litho=_fc_litho(),
+                optimizer=_fast_optimizer(),
+                probe_extent_nm=PROBE_NM,
+            )
+            for tile in plan
+        ]
+        executor = QueueWorkerExecutor(tmp_path, workers=2, poll_s=5.0)
+        results = executor.run(jobs, ExecutionContext(jobs))
+        returned = time.time()
+        assert all(result.ok for result in results.values())
+        done = tmp_path / QUEUE_DIRNAME / DONE_DIRNAME
+        last_commit = max(path.stat().st_mtime for path in done.iterdir())
+        assert returned - last_commit < 1.0
 
 
 class TestAbandonmentGrace:
