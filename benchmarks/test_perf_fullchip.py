@@ -1,11 +1,15 @@
-"""Benchmark: serial vs pool vs durable-queue tiled full-chip solves.
+"""Benchmark: serial vs forked-worker tiled full-chip solves.
 
 Runs the full-chip engine on a 2048 nm synthetic canvas (2x2 tiles at
-1024 nm tile size) inline, on a two-worker process pool and on the
-durable queue with two local workers (its run directory under
-``tmp_path``), asserting that all three produce the *identical* stitched
-mask and — when the machine actually has cores to parallelize over —
-that the pool wins wall-clock.  Results land in ``BENCH_fullchip.json``
+1024 nm tile size) inline, with ``workers=2`` on the default executor
+(two forked queue workers, their queue in a private temporary
+directory) and on the queue executor with two local workers (its run
+directory under ``tmp_path``), asserting that all three produce the
+*identical* stitched mask and — when the machine actually has cores to
+parallelize over — that the ``workers=2`` default wins wall-clock.
+The record keeps its keys: ``parallel_s`` and ``speedup`` time the
+``workers=2`` default, ``queue_s`` and ``queue_speedup`` the queue
+executor.  Results land in ``BENCH_fullchip.json``
 at the repository root (uploaded as a CI artifact, and gated against the
 checked-in baseline by ``python -m repro bench-check``; timing keys end
 in ``_s`` and ``speedup*`` keys are higher-is-better, which is how
@@ -133,9 +137,9 @@ def test_fullchip_parallel_speedup(benchmark, emit, tmp_path):
                 f"{serial_result.plan.grid_shape[1]}), "
                 f"halo {serial_result.plan.halo_nm:g} nm",
                 f"  serial   (1 worker):  {serial_s:8.2f} s",
-                f"  parallel (2 workers): {parallel_s:8.2f} s",
-                f"  queue    (2 workers): {queue_s:8.2f} s",
-                f"  speedup: pool {speedup:.2f}x (floor {SPEEDUP_FLOOR}x), "
+                f"  parallel (2 workers, private queue):  {parallel_s:8.2f} s",
+                f"  queue    (2 workers, run-dir queue):  {queue_s:8.2f} s",
+                f"  speedup: parallel {speedup:.2f}x (floor {SPEEDUP_FLOOR}x), "
                 f"queue {queue_speedup:.2f}x, {cores} core(s) available",
             ]
         ),

@@ -793,10 +793,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _config_flag(
         fullchip, "--executor", "executor", choices=("pool", "queue", "serial"),
-        help="tile placement: 'pool' (fork pool; inline when --workers 1), "
-             "'serial' (always inline), or 'queue' (durable file-backed "
-             "job queue with crash-recovering workers forked from this "
-             "process; needs --telemetry-dir)",
+        help="tile placement: 'pool' (inline when one tile solves at a "
+             "time; otherwise min(--workers, tiles) crash-recovering "
+             "workers forked from this process, on the durable queue in "
+             "--telemetry-dir or in a private temporary directory), "
+             "'serial' (always inline), or 'queue' (--workers forked "
+             "workers on the durable queue, which hand-launched 'repro "
+             "worker' processes may join; needs --telemetry-dir)",
     )
     _config_flag(fullchip, "--mode", "solver_mode", choices=("fast", "exact"))
     fullchip.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
@@ -840,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
              "afterwards)",
     )
     queue_group = fullchip.add_argument_group(
-        "durable queue (--executor queue)"
+        "durable queue (every run with forked workers)"
     )
     _config_flag(
         queue_group, "--lease-s", "queue_lease_s", type=float, metavar="SECONDS",
@@ -865,10 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-process resource sampling interval (default: %(default)g; "
              "0 disables the samplers)",
-    )
-    _config_flag(
-        live, "--watchdog-poll", "watchdog_poll_s", type=float, metavar="SECONDS",
-        help="seconds between worker-liveness polls (default: %(default)g)",
     )
     _config_flag(
         live, "--watchdog-stall-factor", "watchdog_stall_factor", type=float,

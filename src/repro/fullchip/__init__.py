@@ -20,7 +20,6 @@ from .ambit import (
 from .engine import FullChipConfig, FullChipEngine, FullChipResult
 from .executor import (
     ExecutionContext,
-    PoolExecutor,
     QueueWorkerExecutor,
     SerialExecutor,
     TileExecutor,
@@ -32,7 +31,6 @@ from .scheduler import (
     TileResult,
     run_tile_jobs,
     solve_tile_job,
-    warm_model_cache,
 )
 from .worker import run_worker
 from .stitch import (
@@ -58,7 +56,6 @@ __all__ = [
     "FullChipEngine",
     "FullChipResult",
     "ExecutionContext",
-    "PoolExecutor",
     "QueueWorkerExecutor",
     "SerialExecutor",
     "TileExecutor",
@@ -71,7 +68,6 @@ __all__ = [
     "TileResult",
     "run_tile_jobs",
     "solve_tile_job",
-    "warm_model_cache",
     "run_worker",
     "SeamDelta",
     "SeamReport",

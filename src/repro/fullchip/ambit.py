@@ -332,9 +332,9 @@ class WindowSimulator(LithographySimulator):
 # Stencil derivation is the expensive one-time step of a full-chip run
 # (one SOCS decomposition per focus on the probe grid).  Two tiers sit in
 # front of it.  The memory tier is module-global on purpose: the
-# scheduler warms it in the parent process *before* creating a
-# fork-based worker pool, so every worker inherits the built model
-# through copy-on-write memory instead of rebuilding it.  The disk tier
+# engine looks the model up in the parent process *before* forking its
+# queue workers, so every worker inherits the built model through
+# copy-on-write memory instead of rebuilding it.  The disk tier
 # keeps one ``.npz`` per model under the user's cache directory, so a
 # fresh process (a CLI run, a hand-launched ``repro worker``, the
 # service) reads the stencils an earlier process derived, bit for bit,

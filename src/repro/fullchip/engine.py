@@ -4,7 +4,8 @@
 
 1. derive (or accept) the halo from the optical ambit,
 2. partition the chip into a :class:`~repro.fullchip.tiling.TilePlan`,
-3. solve every tile through the process-parallel scheduler,
+3. solve every tile through the scheduler: inline, or on forked
+   workers pulling from the durable tile queue,
 4. stitch the core masks into one full-chip mask,
 5. evaluate the stitched mask under the *linear-convolution* full-chip
    model (mask padded by the ambit, imaged once, cropped — the same
@@ -84,7 +85,8 @@ class FullChipConfig:
         halo_nm: halo thickness; None derives it from the optical ambit
             (the smallest halo that keeps tile cores bit-equivalent to a
             monolithic simulation).
-        workers: worker processes (``<= 1`` solves tiles inline).
+        workers: tile solves run at once (``<= 1`` solves tiles
+            inline); each runs in a worker forked from this process.
         solver_mode: ``"fast"`` (MOSAIC_fast) or ``"exact"``.
         use_sraf: seed tiles with rule-based SRAFs.
         keep_going: tolerate failed tiles (target fallback + visible
@@ -107,7 +109,6 @@ class FullChipConfig:
         resource_interval_s: sampling interval of the per-process
             resource timelines (parent + every worker); ``0`` disables
             resource sampling.  Only active with a ``telemetry_dir``.
-        watchdog_poll_s: seconds between parent-side liveness polls.
         watchdog_stall_factor: a worker is flagged stalled after this
             many times the observed median iteration time without
             heartbeat progress.
@@ -118,20 +119,23 @@ class FullChipConfig:
             numpy-reference chain.  Unknown specs raise
             :class:`~repro.errors.OpticsError` at construction.
         executor: tile placement strategy — ``"pool"`` (the default:
-            fork pool, inline when ``workers <= 1`` or for one tile),
-            ``"serial"`` (always inline), or ``"queue"`` (the durable
-            file-backed job queue under ``<telemetry_dir>/queue/`` with
-            crash-recovering workers forked from the engine's process,
-            which hand-launched ``repro worker`` processes may join;
-            requires a ``telemetry_dir``).
-        queue_lease_s: queue executor only — lease term granted to a
-            worker per claim; a lease not renewed (via heartbeat
-            pulses) within this window is swept and the tile requeued.
-        queue_max_requeues: queue executor only — lease-expiry requeues
-            tolerated per tile before it is quarantined (terminal, the
-            rasterized-target fallback covers its core).
-        queue_backoff_s: queue executor only — base of the exponential
-            re-claim backoff after a lease expiry (doubles per requeue).
+            inline when at most one solver runs at once, ``workers <= 1``
+            or a single tile; otherwise ``min(workers, tiles)`` workers
+            forked from the engine's process on the durable queue, under
+            ``<telemetry_dir>/queue/`` or, with no ``telemetry_dir``, in
+            a private temporary directory removed when the run ends),
+            ``"serial"`` (always inline), or ``"queue"`` (``workers``
+            forked workers on the durable queue under
+            ``<telemetry_dir>/queue/``, which hand-launched ``repro
+            worker`` processes may join; requires a ``telemetry_dir``).
+        queue_lease_s: lease term granted to a worker per claim, in
+            every run with forked workers; a lease not renewed within
+            this window is swept and the tile requeued.
+        queue_max_requeues: lease-expiry requeues tolerated per tile
+            before it is quarantined (terminal, the rasterized-target
+            fallback covers its core).
+        queue_backoff_s: base of the exponential re-claim backoff after
+            a lease expiry (doubles per requeue).
         trace_id: request correlation id propagated into worker
             telemetry, queue history, and ``run.json``; None for runs
             with no originating request (CLI solves mint nothing).
@@ -155,7 +159,6 @@ class FullChipConfig:
     probe_extent_nm: float = DEFAULT_PROBE_EXTENT_NM
     telemetry_dir: Optional[str] = None
     resource_interval_s: float = 0.5
-    watchdog_poll_s: float = WatchdogConfig.poll_s
     watchdog_stall_factor: float = WatchdogConfig.stall_factor
     watchdog_min_stall_s: float = WatchdogConfig.min_stall_s
     backend: Optional[str] = None
@@ -204,23 +207,19 @@ class FullChipConfig:
                 "executor must be one of ('pool', 'queue', 'serial'), "
                 f"got {self.executor!r}"
             )
-        if self.executor == "queue":
-            if self.telemetry_dir is None:
-                raise FullChipError(
-                    "the queue executor needs a telemetry_dir (its run "
-                    "directory holds the durable queue/ state)"
-                )
-            # QueueConfig validates its own knobs; build one eagerly so
-            # a bad value fails at config time, not mid-run.
-            self.queue_config()
-        # WatchdogConfig validates its own knobs; build one eagerly so a
-        # bad value fails at config time, not mid-run.
+        if self.executor == "queue" and self.telemetry_dir is None:
+            raise FullChipError(
+                "the queue executor needs a telemetry_dir (its run "
+                "directory holds the durable queue/ state)"
+            )
+        # QueueConfig and WatchdogConfig validate their own knobs; build
+        # them eagerly so a bad value fails at config time, not mid-run.
+        self.queue_config()
         self.watchdog_config()
 
     def watchdog_config(self) -> WatchdogConfig:
         """The liveness-watchdog settings as a :class:`WatchdogConfig`."""
         return WatchdogConfig(
-            poll_s=self.watchdog_poll_s,
             stall_factor=self.watchdog_stall_factor,
             min_stall_s=self.watchdog_min_stall_s,
         )
@@ -596,10 +595,9 @@ class FullChipEngine:
                 executor = executor_for(
                     cfg.executor,
                     cfg.workers,
+                    plan.num_tiles,
                     run_dir=cfg.telemetry_dir,
-                    queue_config=(
-                        cfg.queue_config() if cfg.executor == "queue" else None
-                    ),
+                    queue_config=cfg.queue_config(),
                 )
                 # Solver processes running at once share the cores evenly.
                 fft_threads = max(
@@ -610,18 +608,9 @@ class FullChipEngine:
                         tile=tile,
                         layout=tile.clip_layout(layout),
                         litho=self.litho,
+                        config=cfg,
                         optimizer=self.optimizer,
-                        solver_mode=cfg.solver_mode,
-                        use_sraf=cfg.use_sraf,
-                        energy_tol=cfg.energy_tol,
-                        probe_extent_nm=cfg.probe_extent_nm,
-                        checkpoint_dir=cfg.checkpoint_dir,
-                        checkpoint_every=cfg.checkpoint_every,
-                        resume=cfg.resume,
-                        max_retries=cfg.max_retries,
-                        timeout_s=cfg.tile_timeout_s,
                         telemetry=telemetry_cfg,
-                        backend=cfg.backend,
                         fft_threads=fft_threads,
                     )
                     for tile in plan

@@ -1,12 +1,9 @@
-"""The ``TileExecutor`` seam: serial, fork-pool, and durable-queue execution.
+"""The ``TileExecutor`` seam: inline and durable-queue execution.
 
 :func:`repro.fullchip.scheduler.run_tile_jobs` dispatches every tile
-batch through one of three interchangeable executors:
+batch through one of two interchangeable executors:
 
 * :class:`SerialExecutor` — solves inline in the parent process.
-* :class:`PoolExecutor` — the fork ``ProcessPoolExecutor`` path:
-  warmed model cache inherited through fork, results pickled back over
-  the pool's pipe, bounded waits interleaved with liveness polling.
 * :class:`QueueWorkerExecutor` — durable at-least-once execution over
   the file-backed :class:`~repro.fullchip.queue.TileJobQueue`: jobs are
   persisted, local workers forked from the parent and any number of
@@ -15,9 +12,12 @@ batch through one of three interchangeable executors:
   emitting one latched ``job_requeued`` / ``job_quarantined`` event per
   incident, and collecting terminal records as :class:`TileResult`s.
 
-All three share one :class:`ExecutionContext`, so per-tile accounting,
-watchdog/status plumbing, telemetry merging, and progress callbacks are
-identical on every executor — the robustness contract (retries,
+Every forked tile solve runs on the queue: the ``pool`` executor kind
+is the queue with ``min(workers, tiles)`` local workers, in the run
+directory when there is one and in a private temporary directory
+otherwise.  Both executors share one :class:`ExecutionContext`, so
+per-tile accounting, watchdog/status plumbing, telemetry merging, and
+progress callbacks are identical — the robustness contract (retries,
 tile-granular resume, liveness watchdog) does not care where a tile
 actually ran.
 """
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import logging
 import os
+import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from multiprocessing.process import BaseProcess
@@ -54,7 +54,6 @@ from .scheduler import (
     _pool_context,
     release_inherited_sockets,
     solve_tile_job,
-    warm_model_cache,
 )
 from .worker import run_worker
 
@@ -67,7 +66,6 @@ __all__ = [
     "ExecutionContext",
     "TileExecutor",
     "SerialExecutor",
-    "PoolExecutor",
     "QueueWorkerExecutor",
     "executor_for",
 ]
@@ -79,7 +77,7 @@ class ExecutionContext:
 
     Built once per :func:`~repro.fullchip.scheduler.run_tile_jobs` call;
     owns the per-tile accounting (:meth:`record`) and the liveness /
-    status polling (:meth:`poll_liveness`) so the three executors stay
+    status polling (:meth:`poll_liveness`) so the executors stay
     behaviorally identical everywhere but raw job placement.
     """
 
@@ -249,81 +247,6 @@ class SerialExecutor(TileExecutor):
         return results
 
 
-class PoolExecutor(TileExecutor):
-    """Solve jobs on a fork ``ProcessPoolExecutor``.
-
-    A single job is solved inline, with no fork: there is nothing to
-    run beside it.
-    """
-
-    name = "pool"
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise FullChipError(f"pool workers must be >= 1, got {workers}")
-        self.workers = workers
-
-    def solvers_at_once(self, num_jobs: int) -> int:
-        return min(self.workers, num_jobs)
-
-    def run(
-        self, jobs: Sequence[TileJob], ctx: ExecutionContext
-    ) -> Dict[Tuple[int, int], TileResult]:
-        if len(jobs) == 1:
-            return SerialExecutor().run(jobs, ctx)
-        poll_s = (
-            ctx.watchdog.config.poll_s if ctx.watchdog is not None else None
-        )
-        results: Dict[Tuple[int, int], TileResult] = {}
-        warm_model_cache(jobs)
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(jobs)),
-            mp_context=_pool_context(),
-            initializer=release_inherited_sockets,
-        ) as pool:
-            futures = {pool.submit(solve_tile_job, job): job for job in jobs}
-            pending = set(futures)
-            first_failure: Optional[TileResult] = None
-            while pending:
-                done, pending = wait(
-                    pending, timeout=poll_s, return_when=FIRST_COMPLETED
-                )
-                ctx.poll_liveness()
-                if ctx.cancel is not None and ctx.cancel():
-                    # Cooperative cancel: drop queued futures so the
-                    # pool __exit__ does not run them, then raise.
-                    for future in pending:
-                        future.cancel()
-                    raise FullChipCancelled("tile run cancelled by request")
-                for future in done:
-                    job = futures[future]
-                    try:
-                        result = future.result()
-                    except Exception as exc:  # noqa: BLE001 - pool fault
-                        result = TileResult(
-                            index=job.tile.index,
-                            status=CellStatus(
-                                status="failed",
-                                error=f"{type(exc).__name__}: {exc}",
-                            ),
-                        )
-                    ctx.record(result)
-                    results[job.tile.index] = result
-                    if not result.ok and first_failure is None:
-                        first_failure = result
-                if done:
-                    ctx.write_status_counters()
-                if first_failure is not None and not ctx.keep_going:
-                    for future in pending:
-                        future.cancel()
-                    raise FullChipError(
-                        f"tile {first_failure.index} "
-                        f"{first_failure.status.status}: "
-                        f"{first_failure.status.error}"
-                    )
-        return results
-
-
 class QueueWorkerExecutor(TileExecutor):
     """Durable-queue execution: persisted jobs, leased workers, fencing.
 
@@ -344,14 +267,16 @@ class QueueWorkerExecutor(TileExecutor):
 
     Externally launched workers (``repro worker <run-dir>`` on any
     host sharing the filesystem) participate transparently; with
-    ``spawn_workers=False`` the executor only supervises.
+    ``spawn_workers=False`` the executor only supervises.  With
+    ``run_dir=None`` the queue lives in a private temporary directory
+    that only the local workers see, removed when the run ends.
     """
 
     name = "queue"
 
     def __init__(
         self,
-        run_dir: Union[str, Path],
+        run_dir: Optional[Union[str, Path]],
         workers: int = 2,
         queue_config: Optional[QueueConfig] = None,
         poll_s: float = 0.5,
@@ -362,7 +287,11 @@ class QueueWorkerExecutor(TileExecutor):
             raise FullChipError(f"queue workers must be >= 0, got {workers}")
         if poll_s <= 0:
             raise FullChipError(f"poll_s must be positive, got {poll_s}")
-        self.run_dir = Path(run_dir)
+        if run_dir is None and not (spawn_workers and workers > 0):
+            raise FullChipError(
+                "a queue with no run directory needs local workers"
+            )
+        self.run_dir = None if run_dir is None else Path(run_dir)
         self.workers = workers
         self.queue_config = queue_config or QueueConfig()
         self.poll_s = poll_s
@@ -375,12 +304,12 @@ class QueueWorkerExecutor(TileExecutor):
 
     # -- worker fleet -------------------------------------------------------
 
-    def _spawn_worker(self, stop: Event) -> BaseProcess:
+    def _spawn_worker(self, run_dir: Path, stop: Event) -> BaseProcess:
         # A fork inherits the imported package and the parent's models,
         # so the worker claims within milliseconds of its start.
         proc = _pool_context().Process(
             target=_forked_worker,
-            args=(str(self.run_dir), self.poll_s, stop),
+            args=(str(run_dir), self.poll_s, stop),
             name="repro-queue-worker",
         )
         proc.start()
@@ -518,9 +447,17 @@ class QueueWorkerExecutor(TileExecutor):
     def run(
         self, jobs: Sequence[TileJob], ctx: ExecutionContext
     ) -> Dict[Tuple[int, int], TileResult]:
+        if self.run_dir is not None:
+            return self._supervise(self.run_dir, jobs, ctx)
+        with tempfile.TemporaryDirectory(prefix="repro-queue-") as private:
+            return self._supervise(Path(private), jobs, ctx)
+
+    def _supervise(
+        self, run_dir: Path, jobs: Sequence[TileJob], ctx: ExecutionContext
+    ) -> Dict[Tuple[int, int], TileResult]:
         queue_jobs = {job.tile.name: (job.tile.index, job) for job in jobs}
         # Resume semantics ride on queue adoption.
-        adopt = all(job.resume for job in jobs) and bool(jobs)
+        adopt = all(job.config.resume for job in jobs) and bool(jobs)
         trace_id = next(
             (
                 job.telemetry.trace_id
@@ -530,7 +467,7 @@ class QueueWorkerExecutor(TileExecutor):
             None,
         )
         queue = TileJobQueue.create(
-            self.run_dir / QUEUE_DIRNAME,
+            run_dir / QUEUE_DIRNAME,
             queue_jobs,
             config=self.queue_config,
             adopt=adopt,
@@ -547,7 +484,10 @@ class QueueWorkerExecutor(TileExecutor):
         grace_s = 10.0
         try:
             if self.spawn_workers:
-                fleet = [self._spawn_worker(stop) for _ in range(self.workers)]
+                fleet = [
+                    self._spawn_worker(run_dir, stop)
+                    for _ in range(self.workers)
+                ]
             while True:
                 # Cancelling here lets the finally-clause shut the local
                 # fleet down; the caller sweeps any expired leases the
@@ -585,7 +525,7 @@ class QueueWorkerExecutor(TileExecutor):
                             "queue: respawning worker (%d/%d)",
                             respawns, self.max_respawns,
                         )
-                        fleet.append(self._spawn_worker(stop))
+                        fleet.append(self._spawn_worker(run_dir, stop))
                     elif self._abandoned(queue, fleet):
                         self._fail_abandoned(queue, ctx, settled, results)
                         break
@@ -690,21 +630,29 @@ def _forked_worker(run_dir: str, poll_s: float, stop: Event) -> None:
 def executor_for(
     kind: str,
     workers: int,
+    num_jobs: int,
     run_dir: Optional[Union[str, Path]] = None,
     queue_config: Optional[QueueConfig] = None,
 ) -> TileExecutor:
     """Build the executor named by ``kind`` (``pool``/``queue``/``serial``).
 
     The one place that picks an executor: the engine always asks here.
-    ``pool`` with ``workers <= 1`` is the serial executor (and a pool
-    given a single job solves it inline).
-    ``queue`` needs ``run_dir`` (the telemetry run directory whose
-    ``queue/`` subdirectory holds the durable state).
+    ``pool`` solves inline when at most one solver would run at once
+    (``workers <= 1`` or a single job); otherwise it forks
+    ``min(workers, num_jobs)`` local queue workers, on a queue under
+    ``run_dir`` or, with no ``run_dir``, in a private temporary
+    directory.  ``queue`` needs ``run_dir`` (the telemetry run
+    directory whose ``queue/`` subdirectory holds the durable state).
     """
     if kind == "serial":
         return SerialExecutor()
     if kind == "pool":
-        return PoolExecutor(workers) if workers > 1 else SerialExecutor()
+        solvers = min(workers, num_jobs)
+        if solvers <= 1:
+            return SerialExecutor()
+        return QueueWorkerExecutor(
+            run_dir, workers=solvers, queue_config=queue_config
+        )
     if kind == "queue":
         if run_dir is None:
             raise FullChipError(

@@ -1,18 +1,17 @@
 """Process-parallel execution of tile solves.
 
 Each tile is an independent :class:`TileJob` — a picklable bundle of the
-clipped window layout plus every configuration knob a worker needs —
-executed by the module-level :func:`solve_tile_job` through a pluggable
+clipped window layout plus the run's :class:`~repro.fullchip.engine.FullChipConfig`
+— executed by the module-level :func:`solve_tile_job` through a pluggable
 :class:`~repro.fullchip.executor.TileExecutor`: inline
-(``SerialExecutor``), on a fork ``ProcessPoolExecutor``
-(``PoolExecutor``), or over the durable file-backed job queue
+(``SerialExecutor``) or over the durable file-backed job queue
 (``QueueWorkerExecutor`` + :mod:`repro.fullchip.queue`, forked local
 workers plus any number of hand-launched ``repro worker`` processes).
 
 Fault isolation mirrors the batch harness: per-tile retries, a per-tile
 wall-clock budget (:func:`repro.harness.call_with_budget` inside the
 worker process), and keep-going semantics where a failed tile is *data*
-(a failed :class:`TileResult`), never an exception escaping the pool.
+(a failed :class:`TileResult`), never an exception escaping a worker.
 
 Resume is tile-granular: with a checkpoint directory every tile gets its
 own subdirectory for optimizer checkpoints plus an atomically-written
@@ -21,9 +20,9 @@ the unfinished tiles — and a tile interrupted mid-optimization resumes
 from its newest optimizer checkpoint.
 
 The expensive shared state — the :class:`~repro.fullchip.AmbitModel`
-stencils — is warmed in the parent *before* the pool is created; with
-the ``fork`` start method (the default here when available) workers
-inherit the built model through copy-on-write instead of rebuilding it.
+stencils — is looked up by the engine before any worker forks; with the
+``fork`` start method (the default here when available) workers inherit
+the model through copy-on-write instead of reading or rebuilding it.
 """
 
 from __future__ import annotations
@@ -59,17 +58,13 @@ from ..obs.distributed import (
 from ..opc.checkpoint import CheckpointConfig, latest_checkpoint
 from ..opc.mosaic import MosaicExact, MosaicFast, MosaicResult, MosaicSolver
 from ..utils.io import write_npz_atomic
-from ..xp import fft_threads_scope, validate_backend_spec
-from .ambit import (
-    DEFAULT_ENERGY_TOL,
-    DEFAULT_PROBE_EXTENT_NM,
-    ambit_model_for,
-    lookup_ambit_model,
-)
+from ..xp import fft_threads_scope
+from .ambit import lookup_ambit_model
 from .tiling import TileSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (live imports us not)
     from ..obs.live import LivenessWatchdog, StatusWriter
+    from .engine import FullChipConfig
     from .executor import TileExecutor
 
 logger = logging.getLogger(__name__)
@@ -89,24 +84,13 @@ class TileJob:
         layout: the window layout (already clipped and re-based).
         litho: chip-level configuration (grid shape is ignored; pixel
             size, optics, resist and process apply to the window).
+        config: the run's settings, validated when it was built: solver
+            mode, SRAF seeding, ambit tolerances, array backend,
+            checkpointing and resume, retries and the per-attempt
+            budget are read from it.
         optimizer: optional descent settings (None = mode defaults).
-        solver_mode: ``"fast"`` or ``"exact"``.
-        use_sraf: seed tiles with rule-based SRAFs.
-        energy_tol: ambit retained-energy tolerance.
-        probe_extent_nm: ambit probe-grid extent.
-        checkpoint_dir: per-tile state directory (optimizer checkpoints
-            + done marker); None disables checkpointing and resume.
-        checkpoint_every: iterations between optimizer checkpoints.
-        resume: reuse a done marker / optimizer checkpoint when present.
-        max_retries: extra solve attempts after a failure.
-        timeout_s: wall-clock budget per attempt (None = unbounded).
         telemetry: worker-side telemetry settings; None keeps the
             worker on the null-twin path (no bundle, no spool file).
-        backend: array-backend spec for the window simulator (see
-            :mod:`repro.xp`); ``None`` defers to the optics config /
-            environment / numpy-reference chain.  Backends are cached
-            per spec and process, so every tile a pool worker solves
-            batches through one backend instance.
         fft_threads: threads each transform and engine stage of the
             solve may split across (see :func:`repro.xp.fft_threads_scope`); the
             engine sets usable cores divided by the solver processes it
@@ -117,32 +101,12 @@ class TileJob:
     tile: TileSpec
     layout: Layout
     litho: LithoConfig
+    config: "FullChipConfig"
     optimizer: Optional[OptimizerConfig] = None
-    solver_mode: str = "fast"
-    use_sraf: bool = True
-    energy_tol: float = DEFAULT_ENERGY_TOL
-    probe_extent_nm: float = DEFAULT_PROBE_EXTENT_NM
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 5
-    resume: bool = False
-    max_retries: int = 0
-    timeout_s: Optional[float] = None
     telemetry: Optional[WorkerTelemetryConfig] = None
-    backend: Optional[str] = None
     fft_threads: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.solver_mode not in _SOLVER_MODES:
-            raise FullChipError(
-                f"solver_mode must be one of {sorted(_SOLVER_MODES)}, "
-                f"got {self.solver_mode!r}"
-            )
-        if self.max_retries < 0:
-            raise FullChipError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise FullChipError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.backend is not None:
-            object.__setattr__(self, "backend", validate_backend_spec(self.backend))
         if self.fft_threads is not None and self.fft_threads < 1:
             raise FullChipError(f"fft_threads must be >= 1, got {self.fft_threads}")
 
@@ -185,9 +149,9 @@ class TileResult:
 
 
 def _tile_state_dir(job: TileJob) -> Optional[Path]:
-    if job.checkpoint_dir is None:
+    if job.config.checkpoint_dir is None:
         return None
-    return Path(job.checkpoint_dir) / job.tile.name
+    return Path(job.config.checkpoint_dir) / job.tile.name
 
 
 def _write_done_marker(state_dir: Path, result: TileResult) -> None:
@@ -280,21 +244,22 @@ def _solve_once(
     fire_tile_fault(
         job.tile.index, attempt, obs.heartbeat if obs is not None else None
     )
+    cfg = job.config
     model, model_tier = lookup_ambit_model(
-        job.litho, energy_tol=job.energy_tol, probe_extent_nm=job.probe_extent_nm
+        job.litho, energy_tol=cfg.energy_tol, probe_extent_nm=cfg.probe_extent_nm
     )
-    sim = model.simulator_for(job.tile.window_shape, obs=obs, backend=job.backend)
+    sim = model.simulator_for(job.tile.window_shape, obs=obs, backend=cfg.backend)
     checkpoint = None
     resume_from = None
     if state_dir is not None:
-        checkpoint = CheckpointConfig(directory=state_dir, every=job.checkpoint_every)
-        if job.resume:
+        checkpoint = CheckpointConfig(directory=state_dir, every=cfg.checkpoint_every)
+        if cfg.resume:
             resume_from = latest_checkpoint(state_dir)
-    solver_cls = _SOLVER_MODES[job.solver_mode]
+    solver_cls = _SOLVER_MODES[cfg.solver_mode]
     solver: MosaicSolver = solver_cls(
         litho_config=sim.config,
         optimizer_config=job.optimizer,
-        use_sraf=job.use_sraf,
+        use_sraf=cfg.use_sraf,
         simulator=sim,
         checkpoint=checkpoint,
         objective_region=_valid_region(
@@ -315,9 +280,8 @@ def solve_tile_job(
 ) -> TileResult:
     """Solve one tile with retries/timeout; never raises on solve faults.
 
-    This is the pool's target function: every failure mode is folded
-    into the returned :class:`TileResult` so keep-going decisions happen
-    in the parent, on data.  Empty tiles (no geometry in the window)
+    Every failure mode is folded into the returned :class:`TileResult`
+    so keep-going decisions happen in the supervising process, on data.  Empty tiles (no geometry in the window)
     short-circuit to an all-dark mask without spinning up a solver.
 
     ``attempt_base`` offsets the attempt numbering for queue workers
@@ -329,7 +293,7 @@ def solve_tile_job(
     """
     tile = job.tile
     state_dir = _tile_state_dir(job)
-    if job.resume and state_dir is not None:
+    if job.config.resume and state_dir is not None:
         cached = _load_done_marker(state_dir, tile)
         if cached is not None:
             return cached
@@ -367,7 +331,7 @@ def solve_tile_job(
             from ..obs.resources import ResourceSampler, resources_filename
 
             try:
-                # One timeline per pid: a pool worker reused across tiles
+                # One timeline per pid: a queue worker reused across tiles
                 # appends to one continuous file.
                 sampler = ResourceSampler(
                     Path(job.telemetry.resource_dir) / resources_filename(os.getpid()),
@@ -378,6 +342,7 @@ def solve_tile_job(
                 logger.warning("tile %s: resource sampler failed: %s", tile.index, exc)
                 sampler = None
 
+    max_retries = job.config.max_retries
     start = time.perf_counter()
     last_error: Optional[BaseException] = None
     attempts = 0
@@ -391,7 +356,7 @@ def solve_tile_job(
     )
     try:
         with tile_span:
-            for attempt in range(job.max_retries + 1):
+            for attempt in range(max_retries + 1):
                 attempts = attempt + 1
                 overall_attempt = attempt_base + attempts
                 try:
@@ -399,7 +364,7 @@ def solve_tile_job(
                         lambda: _solve_once(
                             job, state_dir, obs=worker_obs, attempt=overall_attempt
                         ),
-                        job.timeout_s,
+                        job.config.tile_timeout_s,
                     )
                     last_error = None
                     break
@@ -409,7 +374,7 @@ def solve_tile_job(
                     last_error = exc
                     logger.warning(
                         "tile %s failed (attempt %d/%d): %s",
-                        tile.index, attempts, job.max_retries + 1, exc,
+                        tile.index, attempts, max_retries + 1, exc,
                     )
     finally:
         if sampler is not None:
@@ -466,27 +431,8 @@ def solve_tile_job(
     return result
 
 
-def warm_model_cache(jobs: Sequence[TileJob]) -> None:
-    """Build every distinct ambit model the jobs need, in this process.
-
-    Called before pool creation so fork-based workers inherit the warmed
-    module-level cache instead of each rebuilding the stencils.
-    """
-    seen = set()
-    for job in jobs:
-        key = (job.litho.grid.pixel_nm, job.litho.optics, job.litho.process,
-               job.energy_tol, job.probe_extent_nm)
-        if key not in seen:
-            seen.add(key)
-            ambit_model_for(
-                job.litho,
-                energy_tol=job.energy_tol,
-                probe_extent_nm=job.probe_extent_nm,
-            )
-
-
 def _pool_context():
-    """Prefer fork (inherits the warmed model cache); fall back to default."""
+    """Prefer fork (inherits the parent's model cache); fall back to default."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:
@@ -579,8 +525,8 @@ def run_tile_jobs(
             as it settles (completion order, not job order) — the hook
             behind the CLI's per-tile ``-v`` progress lines.
         watchdog: optional parent-side liveness watchdog; fed the
-            heartbeat files between pool completions (the pool wait is
-            bounded by its ``poll_s``).  A flagged worker is reported
+            heartbeat files on every round of the queue supervisor (at
+            most its ``poll_s`` apart).  A flagged worker is reported
             (a progress line and a stalled status), never killed.
         status: optional live ``status.json`` writer; updated on every
             watchdog poll and tile completion.

@@ -1,19 +1,19 @@
-"""Worker-side telemetry for the tile pool, spooled and merged.
+"""Worker-side telemetry for tile workers, spooled and merged.
 
-Since the tiled engine (PR 4) runs each tile solve in a forked
-``ProcessPoolExecutor`` worker, the parent's :class:`Instrumentation`
-only observes scheduling — the per-iteration Hopkins simulations that
-dominate full-chip cost happen in processes the parent's tracer never
-sees.  This module closes that gap with a spool-and-merge scheme:
+Since the tiled engine runs tile solves in forked queue workers, the
+parent's :class:`Instrumentation` only observes scheduling — the
+per-iteration Hopkins simulations that dominate full-chip cost happen
+in processes the parent's tracer never sees.  This module closes that
+gap with a spool-and-merge scheme:
 
 1. **Worker side** — :func:`worker_instrumentation` builds a live bundle
    inside ``solve_tile_job`` (timeline tracing + metrics + an in-memory
    event buffer).  After the solve, :func:`write_spool` persists the
    whole bundle as one atomic per-tile JSONL *spool file* (temp file +
    ``os.replace``, the checkpoint discipline) and
-   :func:`summarize_worker` distills a compact, picklable
-   :class:`TileTelemetry` that rides back to the parent inside
-   ``TileResult``.
+   :func:`summarize_worker` distills a compact :class:`TileTelemetry`
+   that reaches the parent inside the tile's ``TileResult`` (from a
+   forked worker, through the queue's terminal record).
 
 2. **Parent side** — :func:`merge_tile_telemetry` folds each summary
    into the parent's bundle (counter sums, histogram bucket merges,
@@ -109,8 +109,8 @@ class WorkerTelemetryConfig:
 class TileTelemetry:
     """Compact worker-telemetry summary returned inside ``TileResult``.
 
-    Everything here is plain JSON-able data so the summary pickles
-    cheaply across the pool boundary and serializes into ``run.json``.
+    Everything here is plain JSON-able data so the summary rides in the
+    queue's terminal record and serializes into ``run.json``.
 
     Attributes:
         tile: the tile's name (``tile_r<row>_c<col>``).
@@ -200,7 +200,7 @@ def summarize_worker(
     obs: Instrumentation,
     events: List[Dict[str, object]],
 ) -> TileTelemetry:
-    """Distill a worker bundle into the picklable cross-pool summary."""
+    """Distill a worker bundle into the JSON-able cross-process summary."""
     metrics = obs.metrics.as_dict()
     iterations = 0
     counter = metrics.get("iterations_total")

@@ -59,7 +59,7 @@ class TraceLane:
 def chrome_trace_events(lanes: Sequence[TraceLane]) -> List[Dict[str, object]]:
     """Flatten lanes into trace-event records (metadata first).
 
-    Multiple lanes may share a pid (several tiles solved by one pool
+    Multiple lanes may share a pid (several tiles solved by one queue
     worker); the first label wins the ``process_name`` metadata and the
     slices interleave on the shared time axis, which is exactly what
     happened at runtime.

@@ -12,7 +12,8 @@ and :mod:`repro.obs.report`):
    reader never sees a torn heartbeat, and the newest write wins.
 
 2. **Liveness watchdog** — the parent-side :class:`LivenessWatchdog`
-   observes the heartbeat files between pool completions and flags a
+   observes the heartbeat files on every round of the queue supervisor
+   (or between inline tiles) and flags a
    worker as *stalled* when its heartbeat has made no progress for
    ``stall_factor`` times the observed median iteration time (floored
    at ``min_stall_s``) — or as *dead* when its pid is gone.  Each flag
@@ -249,21 +250,16 @@ class WatchdogConfig:
     """Parent-side liveness thresholds.
 
     Attributes:
-        poll_s: seconds between watchdog observations (doubles as the
-            scheduler's pool-wait timeout).
         stall_factor: a worker is stalled after ``stall_factor`` times
             the observed median iteration time with no progress.
         min_stall_s: floor on the stall threshold — protects fast
             iterations from flagging on scheduler jitter.
     """
 
-    poll_s: float = 2.0
     stall_factor: float = 8.0
     min_stall_s: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.poll_s <= 0:
-            raise ReproError(f"poll_s must be positive, got {self.poll_s}")
         if self.stall_factor < 1:
             raise ReproError(f"stall_factor must be >= 1, got {self.stall_factor}")
         if self.min_stall_s <= 0:

@@ -308,7 +308,7 @@ def build_run_report(run_dir: Union[str, Path]) -> Dict[str, object]:
             _history_from_events(spool.events), recoveries=recoveries
         ).as_dict()
     # Durable-queue state, read from the queue/ directory alone (None
-    # for pool/serial runs that never seeded one).  Imported lazily:
+    # for runs that solved their tiles inline and never seeded one).  Imported lazily:
     # obs must stay importable without the fullchip package.
     from ..fullchip.queue import load_queue_state
 

@@ -141,7 +141,7 @@ class ResourceSampler:
 
     Args:
         path: target ``resources_<pid>.jsonl`` file (parent directories
-            are created; an existing file is appended to, so a pool
+            are created; an existing file is appended to, so a queue
             worker reused across tiles extends one continuous timeline).
         interval_s: seconds between samples.
         metrics: optional metrics registry whose counters named in

@@ -22,8 +22,8 @@ asserts both that the fault happened *and* that the system recovered
 from it.  Nothing here is random: the same arming always produces the
 same fault sequence.
 
-Full-chip tile solves can run in other processes (pool forks, ``repro
-worker``), out of an injector's reach, so they take their faults from
+Full-chip tile solves can run in other processes (queue worker forks,
+``repro worker``), out of an injector's reach, so they take their faults from
 the environment instead: the *tile fault plan* in
 ``REPRO_FULLCHIP_FAULTS`` (:func:`parse_tile_faults`), fired by the
 tile worker through :func:`fire_tile_fault`.
@@ -57,8 +57,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: Environment variable holding the tile fault plan: ``;``-separated
-#: ``kind@row,col[:arg]`` entries.  Read inside the tile worker, so pool
-#: and queue forks and hand-launched ``repro worker`` processes inherit it.
+#: ``kind@row,col[:arg]`` entries.  Read inside the tile worker, so forked
+#: queue workers and hand-launched ``repro worker`` processes inherit it.
 TILE_FAULTS_ENV = "REPRO_FULLCHIP_FAULTS"
 
 #: Fault kind -> default argument (None: the kind takes no argument).

@@ -148,6 +148,7 @@ class TestConfigValidation:
         from repro.fullchip import FullChipConfig
 
         assert FullChipConfig(backend="numpy:float32").backend == "numpy:float32"
+        assert FullChipConfig(backend="numpy:float64").backend == "numpy"
         assert FullChipConfig().backend is None
         with pytest.raises(OpticsError):
             FullChipConfig(backend="bogus")

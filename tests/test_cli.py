@@ -158,7 +158,7 @@ class TestFullchipConfigMapping:
             "--checkpoint-every", "7", "--resume",
             "--telemetry-dir", str(tmp_path / "run"),
             "--lease-s", "12", "--max-requeues", "4", "--queue-backoff", "0.25",
-            "--resource-interval", "0.3", "--watchdog-poll", "1.5",
+            "--resource-interval", "0.3",
             "--watchdog-stall-factor", "4", "--watchdog-min-stall", "6",
         ]
         assert fullchip_config_from(monkeypatch, argv) == FullChipConfig(
@@ -179,7 +179,6 @@ class TestFullchipConfigMapping:
             queue_max_requeues=4,
             queue_backoff_s=0.25,
             resource_interval_s=0.3,
-            watchdog_poll_s=1.5,
             watchdog_stall_factor=4.0,
             watchdog_min_stall_s=6.0,
         )

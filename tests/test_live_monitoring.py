@@ -2,12 +2,13 @@
 
 The load-bearing acceptance fixture runs a real 2-worker full-chip
 solve with one tile forced to stall via ``REPRO_FULLCHIP_FAULTS``, on
-the process pool and again on the durable queue, and checks the whole
-live pipeline end to end: the watchdog raises a ``worker_stalled``
-event while the run is in flight, ``status.json``'s final tile states
-match the returned :class:`TileResult`s exactly, every process left a
-resource timeline, and ``repro watch --once`` (dashboard and
-``--json``) exits 3 on the failed run.  Unit tests pin the
+the default executor and again on the queue executor (both fork queue
+workers in the run directory), and checks the whole live pipeline end
+to end: the watchdog raises a ``worker_stalled`` event while the run is
+in flight, ``status.json``'s final tile states match the returned
+:class:`TileResult`s exactly, every process left a resource timeline,
+and ``repro watch --once`` (dashboard and ``--json``) exits 3 on the
+failed run.  Unit tests pin the
 watchdog/status/ETA math with fake clocks so no timing is left to the
 scheduler.
 """
@@ -94,7 +95,6 @@ def _stall_run(tmp_path_factory, executor):
             keep_going=True,
             telemetry_dir=str(run_dir),
             resource_interval_s=0.1,
-            watchdog_poll_s=0.2,
             watchdog_stall_factor=3.0,
             watchdog_min_stall_s=0.8,
         ),
@@ -237,11 +237,11 @@ class TestAcceptance:
 
 
 class TestQueueAcceptance(TestAcceptance):
-    """The same assertions with the tiles solved on the durable queue.
+    """The same assertions with the tiles solved on the queue executor.
 
     A queue worker's lease is renewed from a daemon thread for as long
     as its process lives, so a worker that hangs keeps its lease: only
-    the watchdog flags it, as on the pool.
+    the watchdog flags it.
     """
 
     @pytest.fixture(scope="class")
@@ -297,9 +297,7 @@ def _beat(tile, iteration, ts, pid=None, phase="optimize"):
 
 class TestLivenessWatchdog:
     def _watchdog(self, events, **kwargs):
-        config = WatchdogConfig(
-            poll_s=1.0, stall_factor=2.0, min_stall_s=5.0, **kwargs
-        )
+        config = WatchdogConfig(stall_factor=2.0, min_stall_s=5.0, **kwargs)
         obs = Instrumentation.collecting(
             trace=False, metrics=True, events_sink=events.append
         )
@@ -350,8 +348,6 @@ class TestLivenessWatchdog:
         ) == []
 
     def test_config_validation(self):
-        with pytest.raises(ReproError):
-            WatchdogConfig(poll_s=0.0)
         with pytest.raises(ReproError):
             WatchdogConfig(stall_factor=0.5)
         with pytest.raises(ReproError):

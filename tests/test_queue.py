@@ -557,7 +557,7 @@ class TestWatchdogAttemptRearm:
             trace=False, metrics=True, events_sink=events.append
         )
         dog = LivenessWatchdog(
-            WatchdogConfig(poll_s=1.0, stall_factor=2.0, min_stall_s=5.0),
+            WatchdogConfig(stall_factor=2.0, min_stall_s=5.0),
             obs=obs,
             clock=lambda: 0.0,
         )

@@ -5,12 +5,15 @@ queue-executor full-chip solve with one worker SIGKILLed mid-solve via
 ``REPRO_FULLCHIP_FAULTS``.  The run must still complete every
 tile, the recovered tile's stitched mask must equal an uninterrupted
 run's bit-for-bit, and exactly one ``job_requeued`` event must latch —
-the whole durability story end to end.  The cheaper tests drive
+the whole durability story end to end.  The default executor's forked
+workers run on the same queue, in a private directory when the run has
+none, and recover the same kill.  The cheaper tests drive
 ``run_worker`` in-process against a hand-seeded queue and pin the
 executor dispatch seam.
 """
 
 import os
+import tempfile
 import time
 
 import numpy as np
@@ -30,7 +33,6 @@ from repro.fullchip import (
     ExecutionContext,
     FullChipConfig,
     FullChipEngine,
-    PoolExecutor,
     QueueWorkerExecutor,
     SerialExecutor,
     TileJob,
@@ -68,6 +70,10 @@ def _fast_optimizer() -> OptimizerConfig:
     return OptimizerConfig(max_iterations=3, use_jump=False)
 
 
+def _job_config() -> FullChipConfig:
+    return FullChipConfig(tile_nm=1024.0, probe_extent_nm=PROBE_NM)
+
+
 def _row_jobs(litho):
     """Two small jobs (a 1x2 plan over a synthetic strip)."""
     plan = build_tile_plan(Rect(0, 0, 2048, 1024), 1024.0, 192.0, PIXEL_NM)
@@ -77,8 +83,8 @@ def _row_jobs(litho):
             tile=tile,
             layout=tile.clip_layout(layout),
             litho=litho,
+            config=_job_config(),
             optimizer=_fast_optimizer(),
-            probe_extent_nm=PROBE_NM,
         )
         for tile in plan
     ]
@@ -86,30 +92,42 @@ def _row_jobs(litho):
 
 class TestExecutorFor:
     def test_dispatch_table(self, tmp_path):
-        assert isinstance(executor_for("serial", 4), SerialExecutor)
-        assert isinstance(executor_for("pool", 1), SerialExecutor)
-        assert isinstance(executor_for("pool", 4), PoolExecutor)
-        queue_exec = executor_for("queue", 2, run_dir=tmp_path)
+        assert isinstance(executor_for("serial", 4, 4), SerialExecutor)
+        # One solver at a time: the pool kind solves inline.
+        assert isinstance(executor_for("pool", 1, 4), SerialExecutor)
+        assert isinstance(executor_for("pool", 4, 1), SerialExecutor)
+        # Otherwise it forks min(workers, jobs) queue workers, in the
+        # run directory or, with none, in a private one.
+        pool = executor_for("pool", 4, 3, run_dir=tmp_path)
+        assert isinstance(pool, QueueWorkerExecutor)
+        assert pool.workers == 3 and pool.run_dir == tmp_path
+        private = executor_for("pool", 2, 4)
+        assert isinstance(private, QueueWorkerExecutor)
+        assert private.workers == 2 and private.run_dir is None
+        queue_exec = executor_for("queue", 2, 4, run_dir=tmp_path)
         assert isinstance(queue_exec, QueueWorkerExecutor)
         assert queue_exec.workers == 2
+        # Every forked run takes the given queue settings.
+        config = QueueConfig(lease_s=7.0, backoff_s=0.1)
+        assert executor_for("pool", 2, 4, queue_config=config).queue_config == config
 
     def test_solvers_at_once(self, tmp_path):
         # The engine divides the usable cores by this count.
-        assert executor_for("serial", 4).solvers_at_once(3) == 1
-        assert executor_for("pool", 4).solvers_at_once(3) == 3
-        assert executor_for("pool", 2).solvers_at_once(3) == 2
-        assert executor_for("pool", 2).solvers_at_once(1) == 1
-        assert executor_for("queue", 2, run_dir=tmp_path).solvers_at_once(4) == 2
+        assert executor_for("serial", 4, 3).solvers_at_once(3) == 1
+        assert executor_for("pool", 4, 3).solvers_at_once(3) == 3
+        assert executor_for("pool", 2, 3).solvers_at_once(3) == 2
+        assert executor_for("pool", 2, 1).solvers_at_once(1) == 1
+        assert executor_for("queue", 2, 4, run_dir=tmp_path).solvers_at_once(4) == 2
         # Supervise-only: hand-launched workers take the jobs' value.
-        assert executor_for("queue", 0, run_dir=tmp_path).solvers_at_once(4) == 1
+        assert executor_for("queue", 0, 4, run_dir=tmp_path).solvers_at_once(4) == 1
 
     def test_queue_requires_run_dir(self):
         with pytest.raises(FullChipError, match="run directory"):
-            executor_for("queue", 2)
+            executor_for("queue", 2, 4)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FullChipError):
-            executor_for("carrier-pigeon", 2)
+            executor_for("carrier-pigeon", 2, 4)
 
 
 class TestRunWorker:
@@ -165,8 +183,8 @@ class TestIdleWorkersStop:
                 tile=tile,
                 layout=tile.clip_layout(layout),
                 litho=_fc_litho(),
+                config=_job_config(),
                 optimizer=_fast_optimizer(),
-                probe_extent_nm=PROBE_NM,
             )
             for tile in plan
         ]
@@ -260,12 +278,15 @@ class TestEngineQueueExecutor:
             )
 
     @pytest.mark.parametrize(
-        "executor, workers",
-        [("queue", 1), ("pool", 2), ("queue", 2)],
-        ids=["queue-1", "pool-2", "queue-2"],
+        "executor, workers, with_run_dir",
+        [("queue", 1, True), ("pool", 2, True), ("queue", 2, True),
+         ("pool", 2, False)],
+        ids=["queue-1", "pool-2", "queue-2", "pool-2-private"],
     )
-    def test_queue_run_matches_default_run(self, tmp_path, executor, workers):
-        """A clean pool or queue solve is bit-identical to the serial default."""
+    def test_queue_run_matches_default_run(
+        self, tmp_path, monkeypatch, executor, workers, with_run_dir
+    ):
+        """A clean forked solve is bit-identical to the serial default."""
         litho = _fc_litho()
         layout = synthetic_canvas(2048.0, 1024.0, seed=2)
         reference = FullChipEngine(
@@ -274,6 +295,11 @@ class TestEngineQueueExecutor:
             config=FullChipConfig(tile_nm=1024.0, probe_extent_nm=PROBE_NM),
         ).solve(layout)
         run_dir = tmp_path / "run"
+        private_root = tmp_path / "tmp"
+        private_root.mkdir()
+        monkeypatch.setenv("TMPDIR", str(private_root))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        seen_private = []
         result = FullChipEngine(
             litho,
             optimizer=_fast_optimizer(),
@@ -282,17 +308,28 @@ class TestEngineQueueExecutor:
                 probe_extent_nm=PROBE_NM,
                 executor=executor,
                 workers=workers,
-                telemetry_dir=str(run_dir),
+                telemetry_dir=str(run_dir) if with_run_dir else None,
                 queue_lease_s=60.0,
             ),
-        ).solve(layout)
+        ).solve(
+            layout,
+            on_tile=lambda _: seen_private.append(os.listdir(private_root)),
+        )
         assert result.all_ok
         assert np.array_equal(result.mask, reference.mask)
-        if executor == "queue":
+        # The private queue directory lived through the run, then went.
+        assert os.listdir(private_root) == []
+        if with_run_dir:
+            assert not any(seen_private)
             state = load_queue_state(run_dir)
             assert state is not None
             assert state["counts"]["done"] == len(result.tile_results)
             assert state["counts"]["requeued"] == 0
+        else:
+            assert all(
+                len(names) == 1 and names[0].startswith("repro-queue-")
+                for names in seen_private
+            )
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +365,6 @@ def kill_run(tmp_path_factory):
             queue_lease_s=10.0,
             queue_backoff_s=0.05,
             resource_interval_s=0.1,
-            watchdog_poll_s=0.2,
         ),
         obs=obs,
     )
@@ -406,3 +442,21 @@ class TestKillRecoveryAcceptance:
         text = render_run_report(run_dir)
         assert "durable queue" in text
         assert "requeued" in text
+
+
+def test_default_executor_recovers_a_killed_worker(kill_run, monkeypatch):
+    """``workers=2`` on the default executor, with no run directory,
+    survives a SIGKILLed worker: the tile is requeued and re-solved."""
+    *_, reference = kill_run
+    monkeypatch.setenv(TILE_FAULTS_ENV, f"kill@{KILLED[0]},{KILLED[1]}:2")
+    result = FullChipEngine(
+        _fc_litho(),
+        optimizer=_fast_optimizer(),
+        config=FullChipConfig(
+            tile_nm=1024.0, probe_extent_nm=PROBE_NM, workers=2, keep_going=True
+        ),
+    ).solve(synthetic_canvas(2048.0, 2048.0, seed=5))
+    assert result.all_ok
+    by_index = {r.index: r for r in result.tile_results}
+    assert by_index[KILLED].status.status == "recovered"
+    assert np.array_equal(result.mask, reference.mask)

@@ -224,7 +224,7 @@ class TestCacheKey:
         placement = {
             "workers", "keep_going", "max_retries", "tile_timeout_s",
             "checkpoint_dir", "checkpoint_every", "resume", "telemetry_dir",
-            "resource_interval_s", "watchdog_poll_s", "watchdog_stall_factor",
+            "resource_interval_s", "watchdog_stall_factor",
             "watchdog_min_stall_s", "executor", "queue_lease_s",
             "queue_max_requeues", "queue_backoff_s", "trace_id",
         }
