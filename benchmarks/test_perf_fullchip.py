@@ -136,9 +136,9 @@ def test_fullchip_parallel_speedup(benchmark, emit, tmp_path):
                 f"({serial_result.plan.grid_shape[0]}x"
                 f"{serial_result.plan.grid_shape[1]}), "
                 f"halo {serial_result.plan.halo_nm:g} nm",
-                f"  serial   (1 worker):  {serial_s:8.2f} s",
-                f"  parallel (2 workers, private queue):  {parallel_s:8.2f} s",
-                f"  queue    (2 workers, run-dir queue):  {queue_s:8.2f} s",
+                f"  serial   (1 worker, inline):         {serial_s:8.2f} s",
+                f"  parallel (2 workers, private queue): {parallel_s:8.2f} s",
+                f"  queue    (2 workers, run-dir queue): {queue_s:8.2f} s",
                 f"  speedup: parallel {speedup:.2f}x (floor {SPEEDUP_FLOOR}x), "
                 f"queue {queue_speedup:.2f}x, {cores} core(s) available",
             ]

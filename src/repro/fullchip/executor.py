@@ -250,10 +250,11 @@ class SerialExecutor(TileExecutor):
 class QueueWorkerExecutor(TileExecutor):
     """Durable-queue execution: persisted jobs, leased workers, fencing.
 
-    The executor seeds (or adopts, on resume) the queue under
-    ``<run_dir>/queue/``, optionally starts ``workers`` local workers,
-    each a fork of this process running :func:`run_worker`, and
-    supervises until every tile reaches a terminal record:
+    The executor seeds the queue under ``<run_dir>/queue/`` (a resumed
+    ``queue`` run adopts the one there), optionally starts ``workers``
+    local workers, each a fork of this process running
+    :func:`run_worker`, and supervises until every tile reaches a
+    terminal record:
 
     * sweeps expired leases (workers sweep too — whoever gets there
       first wins the incident exactly once),
@@ -456,8 +457,13 @@ class QueueWorkerExecutor(TileExecutor):
         self, run_dir: Path, jobs: Sequence[TileJob], ctx: ExecutionContext
     ) -> Dict[Tuple[int, int], TileResult]:
         queue_jobs = {job.tile.name: (job.tile.index, job) for job in jobs}
-        # Resume semantics ride on queue adoption.
-        adopt = all(job.config.resume for job in jobs) and bool(jobs)
+        # The queue executor resumes by adopting its queue.  The pool
+        # kind's queue is scratch space: it starts fresh, and its tiles
+        # resume from their done markers, so a failed tile is solved
+        # again.
+        adopt = bool(jobs) and all(
+            job.config.resume and job.config.executor == "queue" for job in jobs
+        )
         trace_id = next(
             (
                 job.telemetry.trace_id

@@ -1,8 +1,9 @@
 """Process-parallel execution of tile solves.
 
 Each tile is an independent :class:`TileJob` — a picklable bundle of the
-clipped window layout plus the run's :class:`~repro.fullchip.engine.FullChipConfig`
-— executed by the module-level :func:`solve_tile_job` through a pluggable
+clipped window layout plus the run's
+:class:`~repro.fullchip.engine.FullChipConfig` — executed by the
+module-level :func:`solve_tile_job` through a pluggable
 :class:`~repro.fullchip.executor.TileExecutor`: inline
 (``SerialExecutor``) or over the durable file-backed job queue
 (``QueueWorkerExecutor`` + :mod:`repro.fullchip.queue`, forked local
@@ -281,8 +282,9 @@ def solve_tile_job(
     """Solve one tile with retries/timeout; never raises on solve faults.
 
     Every failure mode is folded into the returned :class:`TileResult`
-    so keep-going decisions happen in the supervising process, on data.  Empty tiles (no geometry in the window)
-    short-circuit to an all-dark mask without spinning up a solver.
+    so keep-going decisions happen in the supervising process, on data.
+    Empty tiles (no geometry in the window) short-circuit to an
+    all-dark mask without spinning up a solver.
 
     ``attempt_base`` offsets the attempt numbering for queue workers
     re-running a requeued job (generation N starts at attempt N+1, so
@@ -342,7 +344,6 @@ def solve_tile_job(
                 logger.warning("tile %s: resource sampler failed: %s", tile.index, exc)
                 sampler = None
 
-    max_retries = job.config.max_retries
     start = time.perf_counter()
     last_error: Optional[BaseException] = None
     attempts = 0
@@ -356,7 +357,7 @@ def solve_tile_job(
     )
     try:
         with tile_span:
-            for attempt in range(max_retries + 1):
+            for attempt in range(job.config.max_retries + 1):
                 attempts = attempt + 1
                 overall_attempt = attempt_base + attempts
                 try:
@@ -374,7 +375,7 @@ def solve_tile_job(
                     last_error = exc
                     logger.warning(
                         "tile %s failed (attempt %d/%d): %s",
-                        tile.index, attempts, max_retries + 1, exc,
+                        tile.index, attempts, job.config.max_retries + 1, exc,
                     )
     finally:
         if sampler is not None:

@@ -222,12 +222,13 @@ def run_worker(
         queue.sweep_expired(heartbeat_dir=heartbeat_dir)
         claim = queue.claim()
         if claim is None:
-            if exit_when_drained and queue.drained():
-                logger.info(
-                    "worker %d: queue drained after %d job(s)",
-                    os.getpid(), processed,
-                )
-                return 0
+            if queue.drained():
+                if exit_when_drained:
+                    logger.info(
+                        "worker %d: queue drained after %d job(s)",
+                        os.getpid(), processed,
+                    )
+                    return 0
             idle(poll_s)
             continue
         logger.info(

@@ -124,6 +124,9 @@ class TestExecutorFor:
     def test_queue_requires_run_dir(self):
         with pytest.raises(FullChipError, match="run directory"):
             executor_for("queue", 2, 4)
+        # A private queue is seen by its own local workers alone.
+        with pytest.raises(FullChipError, match="local workers"):
+            QueueWorkerExecutor(None, workers=2, spawn_workers=False)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FullChipError):
@@ -325,11 +328,45 @@ class TestEngineQueueExecutor:
             assert state is not None
             assert state["counts"]["done"] == len(result.tile_results)
             assert state["counts"]["requeued"] == 0
+            assert state["lease_s"] == 60.0  # the config's, on every kind
         else:
+            assert len(seen_private) == len(result.tile_results)
             assert all(
                 len(names) == 1 and names[0].startswith("repro-queue-")
                 for names in seen_private
             )
+
+    def test_resumed_default_run_solves_a_failed_tile_again(
+        self, tmp_path, monkeypatch
+    ):
+        """The default executor's queue is scratch space: a resumed run
+        seeds it afresh and resumes from the done markers, so a tile
+        that failed is solved again (the queue executor would adopt the
+        failed record)."""
+        litho = _fc_litho()
+        layout = synthetic_canvas(2048.0, 1024.0, seed=2)
+        config = dict(
+            tile_nm=1024.0,
+            probe_extent_nm=PROBE_NM,
+            workers=2,
+            keep_going=True,
+            telemetry_dir=str(tmp_path / "run"),
+            checkpoint_dir=str(tmp_path / "state"),
+        )
+        monkeypatch.setenv(TILE_FAULTS_ENV, "fail@0,1")
+        first = FullChipEngine(
+            litho, optimizer=_fast_optimizer(), config=FullChipConfig(**config)
+        ).solve(layout)
+        assert first.failed_tiles == [(0, 1)]
+        monkeypatch.delenv(TILE_FAULTS_ENV)
+        resumed = FullChipEngine(
+            litho,
+            optimizer=_fast_optimizer(),
+            config=FullChipConfig(resume=True, **config),
+        ).solve(layout)
+        by_index = {r.index: r for r in resumed.tile_results}
+        assert by_index[(0, 0)].from_cache
+        assert by_index[(0, 1)].ok and not by_index[(0, 1)].from_cache
 
 
 @pytest.fixture(scope="module")
