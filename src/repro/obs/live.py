@@ -13,11 +13,10 @@ and :mod:`repro.obs.report`):
 
 2. **Liveness watchdog** — the parent-side :class:`LivenessWatchdog`
    observes the heartbeat files on every round of the queue supervisor
-   (or between inline tiles) and flags a
-   worker as *stalled* when its heartbeat has made no progress for
-   ``stall_factor`` times the observed median iteration time (floored
-   at ``min_stall_s``) — or as *dead* when its pid is gone.  Each flag
-   emits one ``worker_stalled`` event and bumps the
+   and flags a worker as *stalled* when its heartbeat has made no
+   progress for ``stall_factor`` times the observed median iteration
+   time (floored at ``min_stall_s``) — or as *dead* when its pid is
+   gone.  Each flag emits one ``worker_stalled`` event and bumps the
    ``fullchip_workers_stalled`` counter; progress re-arms the flag with
    a ``worker_resumed`` event.  This fires long before a tile's
    wall-clock ``timeout_s`` budget — the watchdog measures *progress*,
