@@ -458,7 +458,7 @@ class QueueWorkerExecutor(TileExecutor):
     ) -> Dict[Tuple[int, int], TileResult]:
         queue_jobs = {job.tile.name: (job.tile.index, job) for job in jobs}
         # The queue executor resumes by adopting its queue.  The pool
-        # kind's queue is scratch space: it starts fresh, and its tiles
+        # kind's queue is disposable: it starts fresh, and its tiles
         # resume from their done markers, so a failed tile is solved
         # again.
         adopt = bool(jobs) and all(

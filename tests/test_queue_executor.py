@@ -339,7 +339,7 @@ class TestEngineQueueExecutor:
     def test_resumed_default_run_solves_a_failed_tile_again(
         self, tmp_path, monkeypatch
     ):
-        """The default executor's queue is scratch space: a resumed run
+        """The default executor's queue is disposable: a resumed run
         seeds it afresh and resumes from the done markers, so a tile
         that failed is solved again (the queue executor would adopt the
         failed record)."""
