@@ -28,7 +28,7 @@ exactly one winner:
   and move on.  The winner then rewrites the lease atomically with its
   pid/host/deadline.
 * **renew** — atomic rewrite of the worker's own lease file with a new
-  deadline, driven by the worker's heartbeat pulses.
+  deadline, from the worker's renewal thread and heartbeat pulses.
 * **expire/requeue** — any sweeper (a worker between claims, or the
   parent supervisor) that finds an expired lease first creates
   ``pending/<tile>.t<N+1>.json`` with ``O_EXCL`` (one winner → one
@@ -36,9 +36,11 @@ exactly one winner:
   stale lease.  A crash between the two steps leaves a harmless stale
   lease that the next sweep clears.
 * **commit (fencing)** — the worker checks that it still holds its
-  lease, writes the result npz, creates its *token-named* terminal
-  record with ``O_EXCL``, and only then unlinks the lease.  The lease
-  outlives the terminal write, so a worker killed at any instant
+  lease (the lease file names its pid, host and claim time; a fresh
+  seed restarts tokens, so the path alone proves nothing), writes the
+  result npz, creates its *token-named* terminal record with
+  ``O_EXCL``, and only then unlinks the lease.  The lease outlives
+  the terminal write, so a worker killed at any instant
   leaves either a live lease (expires → requeue) or a settled tile
   behind a zombie lease (cleared by the next sweep) — never a tile
   with no state at all.  A stale worker whose lease was swept from
@@ -471,26 +473,42 @@ class TileJobQueue:
         return None
 
     def lease_exists(self, lease: LeaseRecord) -> bool:
-        """Whether this claim's lease file is still on disk."""
+        """Whether this claim's lease file still holds this claim.
+
+        The file must name this claimant: the same pid, host and claim
+        time.  A path alone is not enough, because a fresh seed restarts
+        tokens at 0, so a claim made before the seed would pass the new
+        queue's fence under the new claimant's lease.  A claim whose own
+        lease write failed never holds its lease; expiry recovers it.
+        """
+        path = self._dir(LEASED_DIRNAME) / _entry_name(lease.tile, lease.token)
+        try:
+            with open(path) as handle:
+                held = json.load(handle)
+        except (OSError, json.JSONDecodeError):
+            return False
         return (
-            self._dir(LEASED_DIRNAME) / _entry_name(lease.tile, lease.token)
-        ).is_file()
+            held.get("pid") == lease.pid
+            and held.get("host") == lease.host
+            and held.get("claimed_at") == lease.claimed_at
+        )
 
     def renew(self, lease: LeaseRecord) -> bool:
         """Extend a held lease's deadline; False when not extended.
 
         False means the on-disk deadline is still ticking: either the
-        lease file vanished (a sweeper expired and requeued the job
-        from under this worker — the commit will lose the fence) or
-        the rewrite itself failed (transient ``OSError``; the caller
-        can distinguish via :meth:`lease_exists` and retry).  (The
+        lease file no longer holds this claim (a sweeper expired and
+        requeued the job from under this worker, or the queue was
+        seeded afresh — the commit will lose the fence) or the rewrite
+        itself failed (transient ``OSError``; the caller can
+        distinguish via :meth:`lease_exists` and retry).  (The
         check-then-write window can briefly resurrect a just-swept
         lease file; the highest-token rule at commit time keeps that
         harmless.)
         """
-        path = self._dir(LEASED_DIRNAME) / _entry_name(lease.tile, lease.token)
-        if not path.is_file():
+        if not self.lease_exists(lease):
             return False
+        path = self._dir(LEASED_DIRNAME) / _entry_name(lease.tile, lease.token)
         deadline = self._now() + self.config.lease_s
         try:
             write_json_atomic(
@@ -735,9 +753,10 @@ class TileJobQueue:
         meta: Dict[str, object],
     ) -> bool:
         tile, token = claim.tile, claim.token
-        # Fence check: our lease must still be on disk.  If a sweeper
-        # requeued this generation, the lease is gone and this (stale)
-        # result must be discarded — the re-run owns the tile now.  The
+        # Fence check: the lease file must still hold this claim.  If a
+        # sweeper requeued this generation, or the queue was seeded
+        # afresh, it does not, and this (stale) result must be
+        # discarded — the re-run owns the tile now.  The
         # lease itself is NOT consumed yet: it must outlive the result
         # and terminal writes below, so a worker crashing anywhere in
         # this function leaves a recoverable lease, never a tile with

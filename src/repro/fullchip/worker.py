@@ -15,9 +15,10 @@ queue's one-winner filesystem protocols:
   with telemetry off) cannot expire a healthy lease; the solve's own
   heartbeat pulses also renew opportunistically (the
   :class:`LeaseRenewer` hook rides ``HeartbeatWriter.on_beat``).
-* **Commit** — fenced by unlinking the worker's own lease file; a
-  stale worker whose lease was swept while it kept computing loses the
-  unlink and its result is discarded, never clobbering a re-run.
+* **Commit** — fenced by the worker's own lease: the lease file must
+  still name this claim (pid, host, claim time), so a stale worker
+  whose lease was swept, or whose queue was seeded afresh, while it
+  kept computing has its result discarded, never clobbering a re-run.
 * **Sweep** — every worker sweeps expired leases before claiming, so
   workers crash-recover *each other*: a SIGKILLed peer's tile is
   requeued (with backoff) by whoever polls next.
@@ -61,11 +62,12 @@ class LeaseRenewer:
     pulses (``__call__``, wired as ``HeartbeatWriter.on_beat``) renew
     opportunistically on top, throttled to the same interval.
 
-    A renewal that fails because the lease *file is gone* (swept as
-    expired, or the queue re-seeded) latches :attr:`lost` — the solve
-    is not interrupted; the commit fence will discard the result, and
-    aborting mid-solve would buy nothing but a harder-to-test code
-    path.  A renewal whose *write* fails (transient ``OSError``) does
+    A renewal that fails because the lease file *no longer holds this
+    claim* (swept as expired, or the queue seeded afresh) latches
+    :attr:`lost` — the solve is not interrupted; the commit fence will
+    discard the result, and aborting mid-solve would buy nothing but a
+    harder-to-test code path.  A renewal whose *write* fails (transient
+    ``OSError``) does
     not latch: the on-disk deadline is still running, so the renewer
     logs and retries on the next tick.
     """

@@ -292,6 +292,34 @@ class TestCommitFencing:
         assert queue.fail(stale_claim, {"status": "failed", "error": "late"}) is False
         assert queue.terminal_record("tile_a")["state"] == "done"
 
+    def test_claim_from_before_a_fresh_seed_loses_the_fence(self, tmp_path):
+        # A forked worker can outlive its engine and still be solving
+        # when the next run seeds the same queue afresh.  Tokens restart
+        # at 0, so its lease path names the new claimant's lease.
+        from repro.fullchip.queue import DONE_DIRNAME
+
+        queue = _queue(tmp_path / "q", tiles=("tile_a",))
+        stale_claim = queue.claim()
+        stale_claim.lease.pid = os.getpid() + 1  # claimed by another process
+        reseeded = TileJobQueue.create(
+            tmp_path / "q",
+            {"tile_a": ((0, 0), "payload:new")},
+            config=queue.config,
+        )
+        fresh_claim = reseeded.claim()
+        assert fresh_claim.token == stale_claim.token == 0
+        assert fresh_claim.job == "payload:new"
+        assert queue.renew(stale_claim.lease) is False
+        assert queue.complete(stale_claim, np.zeros((4, 4)), {"status": "ok"}) is False
+        fresh_mask = np.full((4, 4), 2.0)
+        assert reseeded.complete(fresh_claim, fresh_mask, {"status": "ok"}) is True
+        records = list((tmp_path / "q" / DONE_DIRNAME).glob("*.json"))
+        assert [path.name for path in records] == [_entry_name("tile_a", 0)]
+        record = reseeded.terminal_record("tile_a")
+        assert np.array_equal(reseeded.load_result_mask(record), fresh_mask)
+        kinds = [h["kind"] for h in reseeded.history("tile_a")]
+        assert kinds.count("discarded") == 1
+
 
 class TestCommitCrashSafety:
     """A worker (or sweeper) killed at any instant loses at most one
