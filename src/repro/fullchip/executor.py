@@ -250,11 +250,11 @@ class SerialExecutor(TileExecutor):
 class QueueWorkerExecutor(TileExecutor):
     """Durable-queue execution: persisted jobs, leased workers, fencing.
 
-    The executor seeds the queue under ``<run_dir>/queue/`` (a resumed
-    ``queue`` run adopts the one there), optionally starts ``workers``
-    local workers, each a fork of this process running
-    :func:`run_worker`, and supervises until every tile reaches a
-    terminal record:
+    The executor seeds a fresh queue under ``<run_dir>/queue/`` (a
+    resumed run's tiles resume from their done markers), optionally
+    starts ``workers`` local workers, each a fork of this process
+    running :func:`run_worker`, and supervises until every tile reaches
+    a terminal record:
 
     * sweeps expired leases (workers sweep too — whoever gets there
       first wins the incident exactly once),
@@ -457,13 +457,8 @@ class QueueWorkerExecutor(TileExecutor):
         self, run_dir: Path, jobs: Sequence[TileJob], ctx: ExecutionContext
     ) -> Dict[Tuple[int, int], TileResult]:
         queue_jobs = {job.tile.name: (job.tile.index, job) for job in jobs}
-        # The queue executor resumes by adopting its queue.  The pool
-        # kind's queue is disposable: it starts fresh, and its tiles
-        # resume from their done markers, so a failed tile is solved
-        # again.
-        adopt = bool(jobs) and all(
-            job.config.resume and job.config.executor == "queue" for job in jobs
-        )
+        # The queue is disposable: every run seeds it afresh, and a
+        # resumed run's tiles resume from their done markers.
         trace_id = next(
             (
                 job.telemetry.trace_id
@@ -476,7 +471,6 @@ class QueueWorkerExecutor(TileExecutor):
             run_dir / QUEUE_DIRNAME,
             queue_jobs,
             config=self.queue_config,
-            adopt=adopt,
             trace_id=trace_id,
         )
         # Set once the run is over, whatever the outcome: idle local

@@ -1,11 +1,18 @@
 """Durable file-backed tile-job queue: leases, fencing tokens, quarantine.
 
-The at-least-once execution substrate behind the ``queue`` executor
-(:mod:`repro.fullchip.executor`): every tile job becomes durable state
-under ``<run_dir>/queue/`` so any number of independently launched
-``repro worker <run-dir>`` processes can claim, solve, and complete
-tiles — and crash-recover each other's work — without a coordinator
-holding anything in memory.
+The at-least-once execution substrate behind every forked tile solve
+(:class:`~repro.fullchip.executor.QueueWorkerExecutor`): every tile job
+becomes durable state under ``<run_dir>/queue/`` so forked local
+workers and any number of hand-launched ``repro worker <run-dir>``
+processes can claim, solve, and complete tiles — and crash-recover
+each other's work — without a coordinator holding anything in memory.
+
+Every run seeds its queue afresh; a resumed run skips finished tiles
+through their ``done.npz`` markers (:mod:`repro.fullchip.scheduler`),
+not through the queue.  The expiry sweep is the one detector of dead
+workers: a worker's renewal thread keeps its lease alive for as long as
+the process lives, so a lease lapses when its worker dies, and at once
+when the claimant ran on the sweeper's host and its pid is gone.
 
 Layout of a queue directory::
 
@@ -40,10 +47,10 @@ exactly one winner:
   seed restarts tokens, so the path alone proves nothing), writes the
   result npz, creates its *token-named* terminal record with
   ``O_EXCL``, and only then unlinks the lease.  The lease outlives
-  the terminal write, so a worker killed at any instant
-  leaves either a live lease (expires → requeue) or a settled tile
-  behind a zombie lease (cleared by the next sweep) — never a tile
-  with no state at all.  A stale worker whose lease was swept from
+  the terminal write, so a worker killed at any instant leaves either
+  a live lease (expires → requeue) or a settled tile behind a zombie
+  lease (cleared by the next sweep) — never a tile with no state at
+  all.  A stale worker whose lease was swept from
   under it fails the lease check and its late result is discarded; if
   terminal records from two generations ever land anyway (the narrow
   check-vs-sweep window), the reader resolves the race: the fencing
@@ -64,8 +71,8 @@ import json
 import logging
 import os
 import pickle
+import shutil
 import socket
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -197,9 +204,8 @@ def _parse_entry_name(name: str) -> Optional[Tuple[str, int]]:
 class TileJobQueue:
     """One durable queue rooted at ``<run_dir>/queue/``.
 
-    Use :meth:`create` to seed a fresh queue from a job list (idempotent
-    under ``adopt=True`` for resumed runs) and :meth:`open` to attach a
-    worker to an existing queue directory.
+    Use :meth:`create` to seed a fresh queue from a job list and
+    :meth:`open` to attach a worker to an existing queue directory.
     """
 
     def __init__(
@@ -221,22 +227,18 @@ class TileJobQueue:
         root: Union[str, Path],
         jobs: Dict[str, Tuple[Tuple[int, int], object]],
         config: Optional[QueueConfig] = None,
-        adopt: bool = False,
         trace_id: Optional[str] = None,
     ) -> "TileJobQueue":
-        """Seed a queue with jobs (``{tile: (index, TileJob)}``).
+        """Seed a fresh queue with jobs (``{tile: (index, TileJob)}``).
 
-        A fresh seed wipes any previous queue state at ``root``.  With
-        ``adopt=True`` an existing queue is reused as-is (resume:
-        terminal records and in-flight leases survive), and only tiles
-        with no state at all get fresh pending tickets.
+        Any previous queue state at ``root`` is wiped first: every run
+        seeds its queue afresh, and a resumed run's finished tiles are
+        skipped through their done markers, not through the queue.
         """
         root = Path(root)
         config = config or QueueConfig()
         queue = cls(root, config, trace_id=trace_id)
-        if root.is_dir() and not adopt:
-            import shutil
-
+        if root.is_dir():
             shutil.rmtree(root)
         for sub in (
             JOBS_DIRNAME, PENDING_DIRNAME, LEASED_DIRNAME, DONE_DIRNAME,
@@ -257,19 +259,10 @@ class TileJobQueue:
             },
         )
         for tile, (index, job) in jobs.items():
-            job_path = root / JOBS_DIRNAME / f"{tile}.pkl"
-            if not (adopt and job_path.is_file()):
-                fd, tmp = tempfile.mkstemp(dir=root / JOBS_DIRNAME, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        pickle.dump(job, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                    os.replace(tmp, job_path)
-                except BaseException:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                    raise
-            if adopt and queue._tile_has_state(tile):
-                continue
+            # The payload lands before its ticket, so no claimant can
+            # load a partly written one.
+            with open(root / JOBS_DIRNAME / f"{tile}.pkl", "wb") as handle:
+                pickle.dump(job, handle, protocol=pickle.HIGHEST_PROTOCOL)
             queue._write_ticket(tile, index, token=0, not_before=0.0)
             queue._history(tile, "seeded", token=0)
         return queue
@@ -336,14 +329,6 @@ class TileJobQueue:
             record.setdefault("state", sub)
             return record
         return None
-
-    def _tile_has_state(self, tile: str) -> bool:
-        if self.terminal_record(tile) is not None:
-            return True
-        for sub in (PENDING_DIRNAME, LEASED_DIRNAME):
-            if any(self._dir(sub).glob(f"{tile}.t*.json")):
-                return True
-        return False
 
     def drained(self) -> bool:
         """Every tile in the roster has reached a terminal record."""

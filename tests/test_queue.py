@@ -488,25 +488,6 @@ class TestAdoption:
         assert recreated.terminal_record("tile_a") is None
         assert recreated.claim() is not None
 
-    def test_adopt_preserves_terminal_records(self, tmp_path):
-        queue = _queue(tmp_path / "q")
-        queue.complete(queue.claim(), np.ones((2, 2)), {"status": "ok"})
-        jobs = {
-            "tile_a": ((0, 0), "payload:tile_a"),
-            "tile_b": ((0, 1), "payload:tile_b"),
-        }
-        adopted = TileJobQueue.create(
-            tmp_path / "q", jobs, config=queue.config, adopt=True
-        )
-        assert adopted.terminal_record("tile_a")["state"] == "done"
-        # Only the unsettled tile is claimable, and it was not re-seeded
-        # (no duplicate "seeded" history line).
-        claim = adopted.claim()
-        assert claim.tile == "tile_b"
-        assert adopted.claim() is None
-        kinds = [h["kind"] for h in adopted.history("tile_b")]
-        assert kinds.count("seeded") == 1
-
 
 class TestHistoryAndState:
     def test_history_skips_torn_lines(self, tmp_path):

@@ -336,18 +336,19 @@ class TestEngineQueueExecutor:
                 for names in seen_private
             )
 
-    def test_resumed_default_run_solves_a_failed_tile_again(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("executor", ["pool", "queue"])
+    def test_resumed_run_solves_a_failed_tile_again(
+        self, tmp_path, monkeypatch, executor
     ):
-        """The default executor's queue is disposable: a resumed run
-        seeds it afresh and resumes from the done markers, so a tile
-        that failed is solved again (the queue executor would adopt the
-        failed record)."""
+        """The queue is disposable: a resumed run seeds it afresh and
+        resumes from the done markers, so a tile that failed is solved
+        again."""
         litho = _fc_litho()
         layout = synthetic_canvas(2048.0, 1024.0, seed=2)
         config = dict(
             tile_nm=1024.0,
             probe_extent_nm=PROBE_NM,
+            executor=executor,
             workers=2,
             keep_going=True,
             telemetry_dir=str(tmp_path / "run"),
