@@ -176,7 +176,7 @@ class ExecutionContext:
         if self.watchdog is not None:
             for flag in self.watchdog.observe(beats):
                 self.progress(
-                    f"tile worker {flag.tile} (pid {flag.pid}) {flag.reason} "
+                    f"tile worker {flag.tile} (pid {flag.pid}) stalled "
                     f"after {flag.stalled_for_s:.1f}s without progress"
                 )
                 if self.status is not None:

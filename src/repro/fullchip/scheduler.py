@@ -476,7 +476,7 @@ def _clear_stale_heartbeats(
 
     A resumed (or requeued) run would otherwise expose the previous
     attempt's last ``heartbeat_<tile>.json`` to the watchdog before the
-    new worker's first pulse — an instant false "stalled"/"dead" flag.
+    new worker's first pulse — an instant false "stalled" flag.
     No worker for these tiles has started yet, so anything present is
     stale by construction.
     """

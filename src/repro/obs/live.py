@@ -15,12 +15,14 @@ and :mod:`repro.obs.report`):
    observes the heartbeat files on every round of the queue supervisor
    and flags a worker as *stalled* when its heartbeat has made no
    progress for ``stall_factor`` times the observed median iteration
-   time (floored at ``min_stall_s``) — or as *dead* when its pid is
-   gone.  Each flag emits one ``worker_stalled`` event and bumps the
-   ``fullchip_workers_stalled`` counter; progress re-arms the flag with
-   a ``worker_resumed`` event.  This fires long before a tile's
-   wall-clock ``timeout_s`` budget — the watchdog measures *progress*,
-   the budget measures *time*.
+   time (floored at ``min_stall_s``).  Each flag emits one
+   ``worker_stalled`` event and bumps the ``fullchip_workers_stalled``
+   counter; progress re-arms the flag with a ``worker_resumed`` event.
+   This fires long before a tile's wall-clock ``timeout_s`` budget —
+   the watchdog measures *progress*, the budget measures *time*.  Dead
+   workers are the queue's to find: its expiry sweep requeues a dead
+   worker's tile and deletes its heartbeat.  A stall is what leases
+   cannot see, since a hung worker's renewal thread keeps its lease.
 
 3. **Status feed** — the scheduler-owned :class:`StatusWriter`
    atomically rewrites ``status.json``: per-tile states (pending /
@@ -271,7 +273,6 @@ class StallFlag:
 
     tile: str
     pid: int
-    reason: str  # "stalled" (no heartbeat progress) or "dead" (pid gone)
     phase: str
     iteration: int
     stalled_for_s: float
@@ -337,20 +338,6 @@ class LivenessWatchdog:
         )
         return max(cfg.min_stall_s, cfg.stall_factor * median)
 
-    @staticmethod
-    def _pid_alive(pid: int) -> bool:
-        if pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-        except OSError:
-            return False
-        return True
-
     def observe(
         self, beats: Dict[str, Heartbeat], now: Optional[float] = None
     ) -> List[StallFlag]:
@@ -392,13 +379,11 @@ class LivenessWatchdog:
                 continue
             stalled_for = now - track.last_progress_ts
             threshold = self.threshold_s()
-            dead = not self._pid_alive(beat.pid)
-            if not dead and stalled_for <= threshold:
+            if stalled_for <= threshold:
                 continue
             flag = StallFlag(
                 tile=tile,
                 pid=beat.pid,
-                reason="dead" if dead else "stalled",
                 phase=beat.phase,
                 iteration=beat.iteration,
                 stalled_for_s=stalled_for,
@@ -412,17 +397,15 @@ class LivenessWatchdog:
                 "worker_stalled",
                 tile=flag.tile,
                 pid=flag.pid,
-                reason=flag.reason,
                 phase=flag.phase,
                 iteration=flag.iteration,
                 stalled_for_s=flag.stalled_for_s,
                 threshold_s=flag.threshold_s,
             )
             logger.warning(
-                "watchdog: tile %s worker pid %d %s (%.1fs without progress, "
-                "threshold %.1fs)",
-                flag.tile, flag.pid, flag.reason, flag.stalled_for_s,
-                flag.threshold_s,
+                "watchdog: tile %s worker pid %d stalled (%.1fs without "
+                "progress, threshold %.1fs)",
+                flag.tile, flag.pid, flag.stalled_for_s, flag.threshold_s,
             )
         return flags
 

@@ -581,7 +581,7 @@ class TestWatchdogAttemptRearm:
         dog.observe({"t": beat(0, 0.0, 1)}, now=0.0)
         dog.observe({"t": beat(1, 1.0, 1)}, now=1.0)
         flags = dog.observe({"t": beat(1, 1.0, 1)}, now=8.0)
-        assert [f.reason for f in flags] == ["stalled"]
+        assert [f.tile for f in flags] == ["t"]
         # The requeued attempt's first pulse (same iteration number!)
         # counts as progress: the latch re-arms, no instant re-flag.
         assert dog.observe({"t": beat(1, 9.0, 2)}, now=9.0) == []
