@@ -251,24 +251,24 @@ class QueueWorkerExecutor(TileExecutor):
     """Durable-queue execution: persisted jobs, leased workers, fencing.
 
     The executor seeds a fresh queue under ``<run_dir>/queue/`` (a
-    resumed run's tiles resume from their done markers), optionally
-    starts ``workers`` local workers, each a fork of this process
-    running :func:`run_worker`, and supervises until every tile reaches
-    a terminal record:
+    resumed run's tiles resume from their done markers), starts
+    ``workers`` local workers, each a fork of this process running
+    :func:`run_worker`, and supervises until every tile reaches a
+    terminal record:
 
     * sweeps expired leases (workers sweep too — whoever gets there
-      first wins the incident exactly once),
+      first wins the incident exactly once); the sweep is the one
+      detector of dead workers,
     * emits one latched ``job_requeued`` / ``job_quarantined`` event
       per incident (deduped on (kind, tile, token) from the queue's
       per-tile history, so worker-swept incidents surface here too),
     * feeds the liveness watchdog / status feed exactly like the other
       executors, and
-    * respawns crashed local workers while undrained tiles remain,
-      within ``max_respawns``.
+    * starts a fresh local worker when all of them have died with
+      tiles left, at most ``workers`` times per run.
 
     Externally launched workers (``repro worker <run-dir>`` on any
-    host sharing the filesystem) participate transparently; with
-    ``spawn_workers=False`` the executor only supervises.  With
+    host sharing the filesystem) participate transparently.  With
     ``run_dir=None`` the queue lives in a private temporary directory
     that only the local workers see, removed when the run ends.
     """
@@ -281,27 +281,19 @@ class QueueWorkerExecutor(TileExecutor):
         workers: int = 2,
         queue_config: Optional[QueueConfig] = None,
         poll_s: float = 0.5,
-        spawn_workers: bool = True,
-        max_respawns: Optional[int] = None,
     ) -> None:
-        if workers < 0:
-            raise FullChipError(f"queue workers must be >= 0, got {workers}")
+        if workers < 1:
+            raise FullChipError(f"queue workers must be >= 1, got {workers}")
         if poll_s <= 0:
             raise FullChipError(f"poll_s must be positive, got {poll_s}")
-        if run_dir is None and not (spawn_workers and workers > 0):
-            raise FullChipError(
-                "a queue with no run directory needs local workers"
-            )
         self.run_dir = None if run_dir is None else Path(run_dir)
         self.workers = workers
         self.queue_config = queue_config or QueueConfig()
         self.poll_s = poll_s
-        self.spawn_workers = spawn_workers
-        self.max_respawns = workers if max_respawns is None else max_respawns
 
     def solvers_at_once(self, num_jobs: int) -> int:
         # Hand-launched workers are not counted: they take the jobs' value.
-        return max(1, min(self.workers, num_jobs))
+        return min(self.workers, num_jobs)
 
     # -- worker fleet -------------------------------------------------------
 
@@ -483,11 +475,8 @@ class QueueWorkerExecutor(TileExecutor):
         results: Dict[Tuple[int, int], TileResult] = {}
         grace_s = 10.0
         try:
-            if self.spawn_workers:
-                fleet = [
-                    self._spawn_worker(run_dir, stop)
-                    for _ in range(self.workers)
-                ]
+            for _ in range(self.workers):
+                fleet.append(self._spawn_worker(run_dir, stop))
             while True:
                 # Cancelling here lets the finally-clause shut the local
                 # fleet down; the caller sweeps any expired leases the
@@ -518,12 +507,12 @@ class QueueWorkerExecutor(TileExecutor):
                     )
                 if len(settled) == len(queue.tiles()):
                     break
-                if self._fleet_starved(queue, fleet):
-                    if respawns < self.max_respawns:
+                if not any(proc.is_alive() for proc in fleet):
+                    if respawns < self.workers:
                         respawns += 1
                         logger.warning(
                             "queue: respawning worker (%d/%d)",
-                            respawns, self.max_respawns,
+                            respawns, self.workers,
                         )
                         fleet.append(self._spawn_worker(run_dir, stop))
                     elif self._abandoned(queue, fleet):
@@ -559,14 +548,6 @@ class QueueWorkerExecutor(TileExecutor):
             except (OSError, json.JSONDecodeError):
                 continue
             ctx.status.mark_running(parsed[0], pid=int(lease.get("pid", 0) or 0))
-
-    def _fleet_starved(
-        self, queue: TileJobQueue, fleet: List[BaseProcess]
-    ) -> bool:
-        """True when we spawn workers and none of ours is alive."""
-        if not self.spawn_workers:
-            return False
-        return not any(proc.is_alive() for proc in fleet)
 
     def _abandoned(
         self, queue: TileJobQueue, fleet: List[BaseProcess]

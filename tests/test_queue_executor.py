@@ -118,15 +118,12 @@ class TestExecutorFor:
         assert executor_for("pool", 2, 3).solvers_at_once(3) == 2
         assert executor_for("pool", 2, 1).solvers_at_once(1) == 1
         assert executor_for("queue", 2, 4, run_dir=tmp_path).solvers_at_once(4) == 2
-        # Supervise-only: hand-launched workers take the jobs' value.
-        assert executor_for("queue", 0, 4, run_dir=tmp_path).solvers_at_once(4) == 1
+        with pytest.raises(FullChipError, match="workers"):
+            executor_for("queue", 0, 4, run_dir=tmp_path)
 
     def test_queue_requires_run_dir(self):
         with pytest.raises(FullChipError, match="run directory"):
             executor_for("queue", 2, 4)
-        # A private queue is seen by its own local workers alone.
-        with pytest.raises(FullChipError, match="local workers"):
-            QueueWorkerExecutor(None, workers=2, spawn_workers=False)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FullChipError):
@@ -206,8 +203,7 @@ class TestAbandonmentGrace:
 
     def _seeded(self, tmp_path, lease_s=5.0):
         executor = QueueWorkerExecutor(
-            tmp_path, workers=0, spawn_workers=False,
-            queue_config=QueueConfig(lease_s=lease_s),
+            tmp_path, workers=1, queue_config=QueueConfig(lease_s=lease_s)
         )
         queue = TileJobQueue.create(
             tmp_path / QUEUE_DIRNAME,
