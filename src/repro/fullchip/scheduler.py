@@ -382,7 +382,7 @@ def solve_tile_job(
             sampler.stop()
         if worker_obs is not None:
             worker_obs.heartbeat.beat(
-                phase="done" if solved is not None else "failed", force=True
+                phase="done" if solved is not None else "failed"
             )
     runtime = time.perf_counter() - start
 

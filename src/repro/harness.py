@@ -301,7 +301,7 @@ def run_experiment(
                 # Liveness pulse for bundles wired with a heartbeat
                 # writer (no-op on the default null twin): a batch run
                 # reports which cell it is on, like tile workers do.
-                obs.heartbeat.beat(phase=f"{label}:{layout.name}", force=True)
+                obs.heartbeat.beat(phase=f"{label}:{layout.name}")
                 cell_start = time.perf_counter()
                 solved = None
                 last_error: Optional[BaseException] = None

@@ -75,7 +75,7 @@ class NullHeartbeat:
 
     enabled = False
 
-    def beat(self, phase, iteration=0, objective=None, force=False):  # noqa: D102
+    def beat(self, phase, iteration=0, objective=None):  # noqa: D102
         pass
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import time
 from collections import deque
@@ -174,17 +173,15 @@ class HeartbeatWriter:
     """Worker-side heartbeat publisher (atomic rewrite per beat).
 
     Plugs into ``Instrumentation.heartbeat`` so the optimizer's
-    per-iteration ``beat()`` calls land here.  A ``min_interval_s``
-    throttle bounds the rewrite rate for sub-second iterations;
-    ``force=True`` (phase transitions, final states) always writes.
+    per-iteration ``beat()`` calls land here, each one a rewrite.
     Writing never raises into the solve — a failed beat is logged and
     dropped.
 
     ``attempt`` versions the pulses per requeue generation (see
     :class:`Heartbeat`), and ``on_beat`` is an optional callback fired
-    on *every* ``beat()`` call (throttled writes included) with the
-    current timestamp — the seam the queue executor uses to renew a
-    worker's lease from the pulses the optimizer already emits.
+    on every ``beat()`` call with the current timestamp — the seam the
+    queue executor uses to renew a worker's lease from the pulses the
+    optimizer already emits.
     """
 
     enabled = True
@@ -193,22 +190,17 @@ class HeartbeatWriter:
         self,
         directory: Union[str, Path],
         tile: str,
-        min_interval_s: float = 0.0,
         clock=time.time,
         attempt: int = 1,
         on_beat=None,
         trace_id: Optional[str] = None,
     ) -> None:
-        if min_interval_s < 0:
-            raise ValueError(f"min_interval_s must be >= 0, got {min_interval_s}")
         self.directory = Path(directory)
         self.tile = tile
-        self.min_interval_s = min_interval_s
         self.clock = clock
         self.attempt = attempt
         self.on_beat = on_beat
         self.trace_id = trace_id
-        self._last_write = -math.inf
         self.path = self.directory / heartbeat_filename(tile)
 
     def beat(
@@ -216,7 +208,6 @@ class HeartbeatWriter:
         phase: str,
         iteration: int = 0,
         objective: Optional[float] = None,
-        force: bool = False,
     ) -> None:
         now = float(self.clock())
         if self.on_beat is not None:
@@ -224,8 +215,6 @@ class HeartbeatWriter:
                 self.on_beat(now)
             except Exception as exc:  # noqa: BLE001 - hooks must not fail solves
                 logger.warning("heartbeat on_beat hook failed: %s", exc)
-        if not force and (now - self._last_write) < self.min_interval_s:
-            return
         record = Heartbeat(
             tile=self.tile,
             pid=os.getpid(),
@@ -238,7 +227,6 @@ class HeartbeatWriter:
         )
         try:
             write_json_atomic(self.path, record.as_dict())
-            self._last_write = now
         except OSError as exc:
             logger.warning("heartbeat write failed for %s: %s", self.tile, exc)
 

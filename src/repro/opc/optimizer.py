@@ -384,7 +384,7 @@ class GradientDescentOptimizer:
             use_line_search=cfg.use_line_search,
             resumed_at=state.iteration if resumed is not None else None,
         )
-        obs.heartbeat.beat(phase="setup", iteration=state.iteration, force=True)
+        obs.heartbeat.beat(phase="setup", iteration=state.iteration)
         rms_hist = obs.metrics.histogram("gradient_rms")
         iterations_total = obs.metrics.counter("iterations_total")
         # Register the loop counters up front so a metrics dump always
@@ -573,9 +573,7 @@ class GradientDescentOptimizer:
 
                 # Consider the final iterate too (the loop records pre-update
                 # values).
-                obs.heartbeat.beat(
-                    phase="final_eval", iteration=state.iteration, force=True
-                )
+                obs.heartbeat.beat(phase="final_eval", iteration=state.iteration)
                 with obs.tracer.span("final_eval"):
                     final_ctx = self.sim.context(state.mask)
                     final_value = self.objective.value(final_ctx)

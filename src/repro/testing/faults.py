@@ -402,7 +402,7 @@ def parse_tile_faults(spec: str) -> Dict[Tuple[int, int], TileFault]:
 def _pulse(heartbeat, pulses: int) -> None:
     for iteration in range(pulses):
         if heartbeat is not None:
-            heartbeat.beat(phase="optimize", iteration=iteration, force=True)
+            heartbeat.beat(phase="optimize", iteration=iteration)
         time.sleep(0.01)
 
 

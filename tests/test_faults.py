@@ -169,7 +169,7 @@ class TestTileFaultPlan:
             def __init__(self):
                 self.iterations = []
 
-            def beat(self, phase, iteration, force):
+            def beat(self, phase, iteration):
                 self.iterations.append(iteration)
 
         monkeypatch.setenv(TILE_FAULTS_ENV, "fail@0,0; stall@0,1:0.05; kill@1,1")

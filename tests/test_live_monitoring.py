@@ -259,26 +259,9 @@ class TestHeartbeatWriter:
         )
         assert beat.age_s(beat.ts + 2.0) == 2.0
 
-    def test_throttle_skips_and_force_overrides(self, tmp_path):
-        ticks = iter([100.0, 100.5, 101.0, 120.0])
-        writer = HeartbeatWriter(
-            tmp_path, "t", min_interval_s=10.0, clock=lambda: next(ticks)
-        )
-        writer.beat(phase="optimize", iteration=0)  # t=100: writes
-        writer.beat(phase="optimize", iteration=1)  # t=100.5: throttled
-        assert read_heartbeat(writer.path).iteration == 0
-        writer.beat(phase="failed", iteration=2, force=True)  # t=101: forced
-        assert read_heartbeat(writer.path).phase == "failed"
-        writer.beat(phase="optimize", iteration=3)  # t=120: interval elapsed
-        assert read_heartbeat(writer.path).iteration == 3
-
-    def test_negative_interval_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            HeartbeatWriter(tmp_path, "t", min_interval_s=-1.0)
-
     def test_null_twin_is_inert(self):
         assert NULL_HEARTBEAT.enabled is False
-        NULL_HEARTBEAT.beat(phase="optimize", iteration=1, force=True)
+        NULL_HEARTBEAT.beat(phase="optimize", iteration=1)
 
     def test_torn_heartbeat_reads_as_none(self, tmp_path):
         path = tmp_path / heartbeat_filename("t")

@@ -599,17 +599,3 @@ class TestWatchdogAttemptRearm:
         writer.beat(phase="optimize", iteration=1)
         assert read_heartbeat(writer.path).attempt == 3
         assert len(pulses) == 1
-
-    def test_on_beat_fires_even_when_throttled(self, tmp_path):
-        from repro.obs.live import HeartbeatWriter
-
-        pulses = []
-        ticks = iter([100.0, 100.1, 100.2])
-        writer = HeartbeatWriter(
-            tmp_path, "t", min_interval_s=10.0,
-            on_beat=pulses.append, clock=lambda: next(ticks),
-        )
-        writer.beat(phase="optimize", iteration=0)  # writes
-        writer.beat(phase="optimize", iteration=1)  # throttled, hook still fires
-        writer.beat(phase="optimize", iteration=2)  # throttled, hook still fires
-        assert pulses == [100.0, 100.1, 100.2]
