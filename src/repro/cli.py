@@ -847,9 +847,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _config_flag(
         queue_group, "--lease-s", "queue_lease_s", type=float, metavar="SECONDS",
-        help="lease term per tile claim; a worker that stops heartbeating "
-             "loses its lease after this long and the tile is requeued "
-             "(default: %(default)g)",
+        help="lease term per tile claim, renewed for as long as the "
+             "worker's process lives: the lease lapses when the worker "
+             "dies, and the tile is requeued (default: %(default)g)",
     )
     _config_flag(
         queue_group, "--max-requeues", "queue_max_requeues", type=int, metavar="N",
@@ -891,7 +891,9 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "run_dir",
         help="fullchip run directory (--telemetry-dir) whose queue/ was "
-             "seeded by a '--executor queue' run",
+             "seeded by a run with forked workers: any '--executor queue' "
+             "run, or a default run with --workers above 1 over more than "
+             "one tile",
     )
     worker.add_argument(
         "--poll", type=float, default=0.5, metavar="SECONDS",

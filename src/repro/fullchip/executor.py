@@ -15,11 +15,14 @@ batch through one of two interchangeable executors:
 Every forked tile solve runs on the queue: the ``pool`` executor kind
 is the queue with ``min(workers, tiles)`` local workers, in the run
 directory when there is one and in a private temporary directory
-otherwise.  Both executors share one :class:`ExecutionContext`, so
-per-tile accounting, watchdog/status plumbing, telemetry merging, and
-progress callbacks are identical — the robustness contract (retries,
-tile-granular resume, liveness watchdog) does not care where a tile
-actually ran.
+otherwise.  Every run seeds its queue afresh: resume lives in the
+tiles' done markers, which :func:`solve_tile_job` reads and writes
+wherever it runs, and dead workers are found by the queue's expiry
+sweep alone (the liveness watchdog flags stalls).  Both executors share
+one :class:`ExecutionContext`, so per-tile accounting, watchdog/status
+plumbing, telemetry merging, and progress callbacks are identical —
+the robustness contract (retries, tile-granular resume, liveness
+watchdog) does not care where a tile actually ran.
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ Resume is tile-granular: with a checkpoint directory every tile gets its
 own subdirectory for optimizer checkpoints plus an atomically-written
 ``done.npz`` result marker, so a killed full-chip run re-executes only
 the unfinished tiles — and a tile interrupted mid-optimization resumes
-from its newest optimizer checkpoint.
+from its newest optimizer checkpoint.  The markers are the one resume:
+every run seeds its tile queue afresh, and :func:`solve_tile_job`
+reads and writes them wherever it runs, queue workers included.
 
 The expensive shared state — the :class:`~repro.fullchip.AmbitModel`
 stencils — is looked up by the engine before any worker forks; with the

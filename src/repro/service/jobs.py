@@ -620,8 +620,8 @@ class IltService:
 
         The queue executor's shutdown killed its workers; their leases
         would otherwise linger until expiry.  ``sweep_expired`` takes
-        the dead-pid fast path, so the queue is immediately lease-free
-        (tiles return to pending for a future resume).
+        the dead-pid fast path, so the cancelled job's queue shows no
+        lease held by a dead pid (its tiles read pending).
         """
         from ..fullchip.queue import QUEUE_DIRNAME, TileJobQueue
 
