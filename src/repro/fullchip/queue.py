@@ -50,11 +50,11 @@ exactly one winner:
   the terminal write, so a worker killed at any instant leaves either
   a live lease (expires → requeue) or a settled tile behind a zombie
   lease (cleared by the next sweep) — never a tile with no state at
-  all.  A stale worker whose lease was swept from
-  under it fails the lease check and its late result is discarded; if
-  terminal records from two generations ever land anyway (the narrow
-  check-vs-sweep window), the reader resolves the race: the fencing
-  token ``N`` is baked into every terminal filename and
+  all.  A stale worker whose lease was swept from under it fails the
+  lease check and its late result is discarded; if terminal records
+  from two generations ever land anyway (the narrow check-vs-sweep
+  window), the reader resolves the race: the fencing token ``N`` is
+  baked into every terminal filename and
   :meth:`TileJobQueue.terminal_record` always returns the **highest
   token**, so a re-run's result cannot be clobbered.
 
@@ -71,8 +71,8 @@ import json
 import logging
 import os
 import pickle
-import shutil
 import socket
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -239,6 +239,8 @@ class TileJobQueue:
         config = config or QueueConfig()
         queue = cls(root, config, trace_id=trace_id)
         if root.is_dir():
+            import shutil
+
             shutil.rmtree(root)
         for sub in (
             JOBS_DIRNAME, PENDING_DIRNAME, LEASED_DIRNAME, DONE_DIRNAME,
@@ -259,10 +261,16 @@ class TileJobQueue:
             },
         )
         for tile, (index, job) in jobs.items():
-            # The payload lands before its ticket, so no claimant can
-            # load a partly written one.
-            with open(root / JOBS_DIRNAME / f"{tile}.pkl", "wb") as handle:
-                pickle.dump(job, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            job_path = root / JOBS_DIRNAME / f"{tile}.pkl"
+            fd, tmp = tempfile.mkstemp(dir=root / JOBS_DIRNAME, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    pickle.dump(job, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                os.replace(tmp, job_path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
             queue._write_ticket(tile, index, token=0, not_before=0.0)
             queue._history(tile, "seeded", token=0)
         return queue
