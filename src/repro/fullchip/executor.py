@@ -452,8 +452,6 @@ class QueueWorkerExecutor(TileExecutor):
         self, run_dir: Path, jobs: Sequence[TileJob], ctx: ExecutionContext
     ) -> Dict[Tuple[int, int], TileResult]:
         queue_jobs = {job.tile.name: (job.tile.index, job) for job in jobs}
-        # The queue is disposable: every run seeds it afresh, and a
-        # resumed run's tiles resume from their done markers.
         trace_id = next(
             (
                 job.telemetry.trace_id

@@ -2,10 +2,10 @@
 
 A queue worker is a plain process pointed at a run directory whose
 ``queue/`` subdirectory was seeded by the
-:class:`~repro.fullchip.executor.QueueWorkerExecutor` (or a previous
-run being resumed).  Any number of workers — launched by the engine or
-by hand on any host sharing the filesystem — cooperate through the
-queue's one-winner filesystem protocols:
+:class:`~repro.fullchip.executor.QueueWorkerExecutor`.  Any number of
+workers — launched by the engine or by hand on any host sharing the
+filesystem — cooperate through the queue's one-winner filesystem
+protocols:
 
 * **Claim** — atomic rename of a pending ticket into ``leased/``;
   exactly one worker wins each ticket.
@@ -67,9 +67,8 @@ class LeaseRenewer:
     :attr:`lost` — the solve is not interrupted; the commit fence will
     discard the result, and aborting mid-solve would buy nothing but a
     harder-to-test code path.  A renewal whose *write* fails (transient
-    ``OSError``) does
-    not latch: the on-disk deadline is still running, so the renewer
-    logs and retries on the next tick.
+    ``OSError``) does not latch: the on-disk deadline is still running,
+    so the renewer logs and retries on the next tick.
     """
 
     def __init__(self, queue: TileJobQueue, claim: ClaimedJob) -> None:
@@ -136,8 +135,8 @@ def process_claim(queue: TileJobQueue, claim: ClaimedJob) -> bool:
     """Solve one claimed job and commit the fenced terminal record.
 
     Returns True when this worker's record won the commit fence (the
-    normal case), False when a sweep invalidated the lease mid-solve
-    and the result was discarded.
+    normal case), False when the lease stopped holding this claim
+    mid-solve (a sweep, or a fresh seed) and the result was discarded.
 
     Solve *failures* are terminal immediately (the in-worker retry loop
     inside :func:`solve_tile_job` already covered transients); requeues
