@@ -441,7 +441,6 @@ class FullChipEngine:
         mask: np.ndarray,
         plan: Optional[TilePlan] = None,
         corner: Optional[ProcessCorner] = None,
-        layout_clip_nm: Optional[Tuple[float, float]] = None,
     ) -> np.ndarray:
         """Full-chip aerial image assembled from per-tile window images.
 
@@ -489,19 +488,6 @@ class FullChipEngine:
                 tile.core_cols[0] : tile.core_cols[1],
             ] = aerial[rs, cs]
         return out
-
-    def _print_binary_monolithic(
-        self, mask: np.ndarray, corner: Optional[ProcessCorner] = None
-    ) -> np.ndarray:
-        """Binary printed image under the linear-convolution model."""
-        model = self.model
-        pad = model.ambit_px
-        padded = np.pad(np.asarray(mask, dtype=np.float64), pad)
-        sim = model.simulator_for(
-            padded.shape, obs=self.obs, backend=self.config.backend
-        )
-        printed = sim.print_binary(padded, corner)
-        return printed[pad:-pad, pad:-pad] if pad else printed
 
     # -- the main flow -------------------------------------------------------
 

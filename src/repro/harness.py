@@ -222,10 +222,6 @@ def call_with_budget(fn: Callable[[], object], timeout_s: Optional[float]) -> ob
     return outcome["value"]
 
 
-#: Backwards-compatible alias — the budget runner predates its public name.
-_call_with_budget = call_with_budget
-
-
 def run_experiment(
     solvers: Sequence[Tuple[str, SolverFactory]],
     layouts: Sequence[Layout],
