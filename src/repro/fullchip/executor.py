@@ -486,7 +486,6 @@ class QueueWorkerExecutor(TileExecutor):
                 queue.sweep_expired(heartbeat_dir=ctx.heartbeat_dir)
                 self._emit_incidents(queue, ctx, emitted)
                 self._mark_leases_running(queue, ctx)
-                ctx.poll_liveness()
                 first_failure: Optional[TileResult] = None
                 for tile in sorted(queue.tiles()):
                     if tile in settled:
@@ -500,6 +499,9 @@ class QueueWorkerExecutor(TileExecutor):
                     results[result.index] = result
                     if not result.ok and first_failure is None:
                         first_failure = result
+                # After the records, so the feed's counters include the
+                # tiles that settled this round, the last round's too.
+                ctx.poll_liveness()
                 if first_failure is not None and not ctx.keep_going:
                     raise FullChipError(
                         f"tile {first_failure.index} "
