@@ -615,7 +615,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     )
     # Only the flags given travel: the service fills in its own defaults.
     payload = {"layout": args.layout}
-    for key in ("mode", "scale", "tile_nm", "workers", "executor"):
+    for key in ("mode", "scale", "tile_nm", "workers"):
         if getattr(args, key) is not None:
             payload[key] = getattr(args, key)
     job = client.submit(payload, trace_id=args.trace_id)
@@ -789,17 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _config_flag(
         fullchip, "--workers", "workers", type=int, metavar="N",
-        help="worker processes for tile solves (default: %(default)g = inline)",
-    )
-    _config_flag(
-        fullchip, "--executor", "executor", choices=("pool", "queue", "serial"),
-        help="tile placement: 'pool' (inline when one tile solves at a "
-             "time; otherwise min(--workers, tiles) crash-recovering "
-             "workers forked from this process, on the durable queue in "
-             "--telemetry-dir or in a private temporary directory), "
-             "'serial' (always inline), or 'queue' (--workers forked "
-             "workers on the durable queue, which hand-launched 'repro "
-             "worker' processes may join; needs --telemetry-dir)",
+        help="tile solves at once (default: %(default)g): inline when one "
+             "runs at a time and there is no --telemetry-dir, otherwise on "
+             "workers forked from this process",
     )
     _config_flag(fullchip, "--mode", "solver_mode", choices=("fast", "exact"))
     fullchip.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
@@ -890,10 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "run_dir",
-        help="fullchip run directory (--telemetry-dir) whose queue/ was "
-             "seeded by a run with forked workers: any '--executor queue' "
-             "run, or a default run with --workers above 1 over more than "
-             "one tile",
+        help="fullchip run directory (--telemetry-dir): every run with "
+             "one keeps its tile queue in its queue/",
     )
     worker.add_argument(
         "--poll", type=float, default=0.5, metavar="SECONDS",
@@ -1039,7 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--scale", choices=("reduced", "paper"))
     submit.add_argument("--tile-nm", type=float, metavar="NM")
     submit.add_argument("--workers", type=int, metavar="N")
-    submit.add_argument("--executor", choices=("queue", "pool", "serial"))
     submit.add_argument("--tenant", default="default")
     submit.add_argument(
         "--wait", action="store_true",

@@ -85,8 +85,14 @@ class FullChipConfig:
         halo_nm: halo thickness; None derives it from the optical ambit
             (the smallest halo that keeps tile cores bit-equivalent to a
             monolithic simulation).
-        workers: tile solves run at once (``<= 1`` solves tiles
-            inline); each runs in a worker forked from this process.
+        workers: tile solves run at once.  A run with no
+            ``telemetry_dir`` and at most one solver at once
+            (``min(workers, tiles) <= 1``) solves its tiles inline;
+            every other run forks ``min(workers, tiles)`` workers from
+            this process, pulling tiles from a durable queue under
+            ``<telemetry_dir>/queue/`` (which hand-launched ``repro
+            worker`` processes may join) or, with no ``telemetry_dir``,
+            in a private temporary directory removed when the run ends.
         solver_mode: ``"fast"`` (MOSAIC_fast) or ``"exact"``.
         use_sraf: seed tiles with rule-based SRAFs.
         keep_going: tolerate failed tiles (target fallback + visible
@@ -118,16 +124,6 @@ class FullChipConfig:
             defers to the optics config / ``REPRO_ARRAY_BACKEND`` /
             numpy-reference chain.  Unknown specs raise
             :class:`~repro.errors.OpticsError` at construction.
-        executor: tile placement strategy — ``"pool"`` (the default:
-            inline when at most one solver runs at once, ``workers <= 1``
-            or a single tile; otherwise ``min(workers, tiles)`` workers
-            forked from the engine's process on the durable queue, under
-            ``<telemetry_dir>/queue/`` or, with no ``telemetry_dir``, in
-            a private temporary directory removed when the run ends),
-            ``"serial"`` (always inline), or ``"queue"`` (``workers``
-            forked workers on the durable queue under
-            ``<telemetry_dir>/queue/``, which hand-launched ``repro
-            worker`` processes may join; requires a ``telemetry_dir``).
         queue_lease_s: lease term granted to a worker per claim, in
             every run with forked workers; a lease not renewed within
             this window is swept and the tile requeued.
@@ -162,7 +158,6 @@ class FullChipConfig:
     watchdog_stall_factor: float = WatchdogConfig.stall_factor
     watchdog_min_stall_s: float = WatchdogConfig.min_stall_s
     backend: Optional[str] = None
-    executor: str = "pool"
     queue_lease_s: float = QueueConfig.lease_s
     queue_max_requeues: int = QueueConfig.max_requeues
     queue_backoff_s: float = QueueConfig.backoff_s
@@ -201,16 +196,6 @@ class FullChipConfig:
         if self.resource_interval_s < 0:
             raise FullChipError(
                 f"resource_interval_s must be >= 0, got {self.resource_interval_s}"
-            )
-        if self.executor not in ("pool", "queue", "serial"):
-            raise FullChipError(
-                "executor must be one of ('pool', 'queue', 'serial'), "
-                f"got {self.executor!r}"
-            )
-        if self.executor == "queue" and self.telemetry_dir is None:
-            raise FullChipError(
-                "the queue executor needs a telemetry_dir (its run "
-                "directory holds the durable queue/ state)"
             )
         # QueueConfig and WatchdogConfig validate their own knobs; build
         # them eagerly so a bad value fails at config time, not mid-run.
@@ -579,7 +564,6 @@ class FullChipEngine:
                         sampler = None
             try:
                 executor = executor_for(
-                    cfg.executor,
                     cfg.workers,
                     plan.num_tiles,
                     run_dir=cfg.telemetry_dir,

@@ -12,14 +12,15 @@ batch through one of two interchangeable executors:
   emitting one latched ``job_requeued`` / ``job_quarantined`` event per
   incident, and collecting terminal records as :class:`TileResult`s.
 
-Every forked tile solve runs on the queue: the ``pool`` executor kind
-is the queue with ``min(workers, tiles)`` local workers, in the run
-directory when there is one and in a private temporary directory
-otherwise.  Every run seeds its queue afresh: resume lives in the
-tiles' done markers, which :func:`solve_tile_job` reads and writes
-wherever it runs, and dead workers are found by the queue's expiry
-sweep alone (the liveness watchdog flags stalls).  Both executors share
-one :class:`ExecutionContext`, so per-tile accounting, watchdog/status
+:func:`executor_for` places every run by one rule: a run with no run
+directory and at most one solver at once solves inline; every other run
+forks ``min(workers, tiles)`` local queue workers, on a queue in the
+run directory or, with none, in a private temporary directory.  Every
+run seeds its queue afresh: resume lives in the tiles' done markers,
+which :func:`solve_tile_job` reads and writes wherever it runs, and
+dead workers are found by the queue's expiry sweep alone (the liveness
+watchdog flags stalls).  Both executors share one
+:class:`ExecutionContext`, so per-tile accounting, watchdog/status
 plumbing, telemetry merging, and progress callbacks are identical —
 the robustness contract (retries, tile-granular resume, liveness
 watchdog) does not care where a tile actually ran.
@@ -612,40 +613,24 @@ def _forked_worker(run_dir: str, poll_s: float, stop: Event) -> None:
 
 
 def executor_for(
-    kind: str,
     workers: int,
     num_jobs: int,
     run_dir: Optional[Union[str, Path]] = None,
     queue_config: Optional[QueueConfig] = None,
 ) -> TileExecutor:
-    """Build the executor named by ``kind`` (``pool``/``queue``/``serial``).
+    """The executor for ``num_jobs`` jobs on up to ``workers`` solvers.
 
     The one place that picks an executor: the engine always asks here.
-    ``pool`` solves inline when at most one solver would run at once
-    (``workers <= 1`` or a single job); otherwise it forks
-    ``min(workers, num_jobs)`` local queue workers, on a queue under
-    ``run_dir`` or, with no ``run_dir``, in a private temporary
-    directory.  ``queue`` needs ``run_dir`` (the telemetry run
-    directory whose ``queue/`` subdirectory holds the durable state).
+    A run with no ``run_dir`` and at most one solver at once
+    (``min(workers, num_jobs) <= 1``) solves inline.  Every other run
+    forks ``min(workers, num_jobs)`` local queue workers, on a queue
+    under ``run_dir`` (which hand-launched ``repro worker`` processes
+    may join, and whose heartbeats feed the status feed and watchdog)
+    or, with no ``run_dir``, in a private temporary directory.
     """
-    if kind == "serial":
+    solvers = min(workers, num_jobs)
+    if run_dir is None and solvers <= 1:
         return SerialExecutor()
-    if kind == "pool":
-        solvers = min(workers, num_jobs)
-        if solvers <= 1:
-            return SerialExecutor()
-        return QueueWorkerExecutor(
-            run_dir, workers=solvers, queue_config=queue_config
-        )
-    if kind == "queue":
-        if run_dir is None:
-            raise FullChipError(
-                "the queue executor needs a run directory "
-                "(FullChipConfig.telemetry_dir)"
-            )
-        return QueueWorkerExecutor(
-            run_dir, workers=workers, queue_config=queue_config
-        )
-    raise FullChipError(
-        f"executor must be one of ('pool', 'queue', 'serial'), got {kind!r}"
+    return QueueWorkerExecutor(
+        run_dir, workers=solvers, queue_config=queue_config
     )

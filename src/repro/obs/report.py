@@ -415,7 +415,7 @@ def render_run_report(run_dir: Union[str, Path]) -> str:
         registry.merge_snapshot(report["metrics"])
         sections.append(registry.summary())
 
-    # Durable-queue state (queue-executor runs only).
+    # Durable-queue state (absent when the run seeded no queue here).
     queue = report.get("queue")
     if queue:
         sections.append(render_queue_state(queue))

@@ -4,11 +4,10 @@ A job's *cache key* is the :func:`~repro.utils.hashing.canonical_hash`
 of everything that determines its stitched mask: the workload spec, the
 solve recipe (mode, tiling, SRAF seeding, backend), the solver/optics
 configuration fingerprint, and the code version.  Placement knobs that
-provably do not change the result — worker count, executor kind,
-``keep_going`` — are deliberately excluded, so a resubmit on a
-different fleet still dedups.  Which :class:`FullChipConfig` fields
-decide the result is declared once, in
-:data:`~repro.fullchip.engine.RESULT_FIELDS`.
+provably do not change the result — worker count, ``keep_going`` — are
+deliberately excluded, so a resubmit on a different fleet still
+dedups.  Which :class:`FullChipConfig` fields decide the result is
+declared once, in :data:`~repro.fullchip.engine.RESULT_FIELDS`.
 
 Entries are one JSON file per key under ``<root>/cache/``, pointing at
 the job that produced the result.  Lookups validate that the source

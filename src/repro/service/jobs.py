@@ -89,8 +89,8 @@ _PAYLOAD_FIELDS: Dict[str, str] = {
     **{
         name: name
         for name in (
-            "tile_nm", "halo_nm", "workers", "executor", "keep_going",
-            "use_sraf", "backend",
+            "tile_nm", "halo_nm", "workers", "keep_going", "use_sraf",
+            "backend",
         )
     },
 }
@@ -101,8 +101,6 @@ _PAYLOAD_DEFAULTS: Dict[str, object] = {
         key: FullChipConfig.__dataclass_fields__[name].default
         for key, name in _PAYLOAD_FIELDS.items()
     },
-    # Service jobs run on the durable queue unless they ask otherwise.
-    "executor": "queue",
 }
 
 _FIELD_TYPES = get_type_hints(FullChipConfig)
@@ -116,10 +114,6 @@ _JSON_KINDS = {
 #: job's own, and a shared ``checkpoint_dir`` with ``resume`` would serve
 #: one job's tile masks to another.
 PER_JOB_FIELDS = ("telemetry_dir", "trace_id", "checkpoint_dir", "resume")
-
-#: Stands in for a job's run directory when a payload is validated at
-#: submission (the queue executor needs one; every service job has one).
-_RUN_DIR_STAND_IN = "<job run directory>"
 
 
 def _json_value(key: str, value: object) -> object:
@@ -184,9 +178,7 @@ def normalize_payload(payload: object) -> Dict[str, object]:
         if normalized[key] is not None:
             normalized[key] = _json_value(key, normalized[key])
     try:
-        config = FullChipConfig(
-            **_config_kwargs(normalized), telemetry_dir=_RUN_DIR_STAND_IN
-        )
+        config = FullChipConfig(**_config_kwargs(normalized))
     except OpticsError as exc:
         raise ServiceError(f"bad backend: {exc}") from exc
     except FullChipError as exc:

@@ -151,7 +151,7 @@ class TestFullchipConfigMapping:
     def test_every_config_flag_reaches_its_field(self, monkeypatch, tmp_path):
         argv = [
             "--tile-nm", "512", "--halo-nm", "96", "--workers", "3",
-            "--executor", "queue", "--mode", "exact",
+            "--mode", "exact",
             "--backend", "numpy:float32", "--keep-going",
             "--tile-timeout", "60", "--max-retries", "2",
             "--checkpoint-dir", str(tmp_path / "ckpt"),
@@ -165,7 +165,6 @@ class TestFullchipConfigMapping:
             tile_nm=512.0,
             halo_nm=96.0,
             workers=3,
-            executor="queue",
             solver_mode="exact",
             backend="numpy:float32",
             keep_going=True,

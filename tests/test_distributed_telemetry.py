@@ -189,8 +189,7 @@ class TestAcceptance:
 class TestFFTThreadRecords:
     """Each solver process gets its share of the cores, and run.json says so."""
 
-    @pytest.mark.parametrize("executor", ["pool", "queue"])
-    def test_two_workers_split_the_cores(self, tmp_path, monkeypatch, executor):
+    def test_two_workers_split_the_cores(self, tmp_path, monkeypatch):
         cores = 6
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         run_dir = tmp_path / "run"
@@ -201,7 +200,6 @@ class TestFFTThreadRecords:
                 tile_nm=1024.0,
                 probe_extent_nm=PROBE_NM,
                 workers=2,
-                executor=executor,
                 telemetry_dir=str(run_dir),
                 queue_lease_s=60.0,
                 backend="numpy",

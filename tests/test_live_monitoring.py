@@ -1,10 +1,11 @@
 """Live monitoring: heartbeats, liveness watchdog, status feed, watch CLI.
 
-The load-bearing acceptance fixture runs a real 2-worker full-chip
-solve with one tile forced to stall via ``REPRO_FULLCHIP_FAULTS``, on
-the default executor and again on the queue executor (both fork queue
-workers in the run directory), and checks the whole live pipeline end
-to end: the watchdog raises a ``worker_stalled`` event while the run is
+The load-bearing acceptance fixture runs a real full-chip solve with a
+run directory and one tile forced to stall via
+``REPRO_FULLCHIP_FAULTS``, with two workers and again with one (either
+way the tiles are solved by queue workers forked into the run
+directory), and checks the whole live pipeline end to end: the
+watchdog raises a ``worker_stalled`` event while the run is
 in flight, ``status.json``'s final tile states match the returned
 :class:`TileResult`s exactly, every process left a resource timeline,
 and ``repro watch --once`` (dashboard and ``--json``) exits 3 on the
@@ -72,14 +73,14 @@ def _fc_litho() -> LithoConfig:
     )
 
 
-def _stall_run(tmp_path_factory, executor):
-    """One 2-worker solve on ``executor`` with tile (0,1) stalled for 4s.
+def _stall_run(tmp_path_factory, workers):
+    """One ``workers``-worker solve with tile (0,1) stalled for 4s.
 
-    The fixtures that call this are shared by a whole test class or
-    module, which cannot use ``monkeypatch``, so the env hook is set and
-    restored by hand.
+    The fixtures that call this are shared by a whole test class, which
+    cannot use ``monkeypatch``, so the env hook is set and restored by
+    hand.
     """
-    run_dir = tmp_path_factory.mktemp(f"stall_run_{executor}")
+    run_dir = tmp_path_factory.mktemp(f"stall_run_{workers}")
     events = []
     obs = Instrumentation.collecting(
         trace=True, metrics=True, timeline=True, events_sink=events.append
@@ -90,8 +91,7 @@ def _stall_run(tmp_path_factory, executor):
         config=FullChipConfig(
             tile_nm=1024.0,
             probe_extent_nm=PROBE_NM,
-            executor=executor,
-            workers=2,
+            workers=workers,
             keep_going=True,
             telemetry_dir=str(run_dir),
             resource_interval_s=0.1,
@@ -112,12 +112,13 @@ def _stall_run(tmp_path_factory, executor):
     return run_dir, obs, events, result
 
 
-@pytest.fixture(scope="module")
-def stall_run(tmp_path_factory):
-    return _stall_run(tmp_path_factory, "pool")
-
-
 class TestAcceptance:
+    workers = 2
+
+    @pytest.fixture(scope="class")
+    def stall_run(self, request, tmp_path_factory):
+        return _stall_run(tmp_path_factory, request.cls.workers)
+
     def test_watchdog_flags_the_stalled_worker(self, stall_run):
         _, obs, events, _ = stall_run
         stalls = [e for e in events if e["event"] == "worker_stalled"]
@@ -146,7 +147,7 @@ class TestAcceptance:
         assert status["schema"] == 1
         assert status["kind"] == "fullchip_status"
         assert status["state"] == "failed"
-        assert status["workers"] == 2
+        assert status["workers"] == self.workers
         assert status["parent_pid"] == os.getpid()
         feed = {t["name"]: t for t in status["tile_states"]}
         assert len(feed) == len(result.tile_results) == 4
@@ -236,16 +237,15 @@ class TestAcceptance:
 
 
 class TestQueueAcceptance(TestAcceptance):
-    """The same assertions with the tiles solved on the queue executor.
+    """The same assertions with one worker.
 
-    A queue worker's lease is renewed from a daemon thread for as long
-    as its process lives, so a worker that hangs keeps its lease: only
-    the watchdog flags it.
+    A run directory puts even a lone solver on the queue, so the
+    watchdog reads its heartbeats.  A queue worker's lease is renewed
+    from a daemon thread for as long as its process lives, so a worker
+    that hangs keeps its lease: only the watchdog flags it.
     """
 
-    @pytest.fixture(scope="class")
-    def stall_run(self, tmp_path_factory):
-        return _stall_run(tmp_path_factory, "queue")
+    workers = 1
 
 
 class TestHeartbeatWriter:

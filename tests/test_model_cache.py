@@ -446,8 +446,7 @@ class TestAcrossProcesses:
 class TestRunRecordsTheTier:
     """run.json and the report say where the parent and each tile's solver got the model."""
 
-    @pytest.mark.parametrize("executor", ["serial", "pool", "queue"])
-    def test_tiers_in_run_json(self, cache_dir, tmp_path, executor):
+    def test_tiers_in_run_json(self, cache_dir, tmp_path):
         run_dir = tmp_path / "run"
         result = FullChipEngine(
             tiny_litho(),
@@ -456,7 +455,6 @@ class TestRunRecordsTheTier:
                 tile_nm=1024.0,
                 probe_extent_nm=PROBE_NM,
                 workers=2,
-                executor=executor,
                 telemetry_dir=str(run_dir),
                 queue_lease_s=60.0,
                 backend="numpy",
@@ -464,8 +462,8 @@ class TestRunRecordsTheTier:
         ).solve(synthetic_canvas(2048.0, 1024.0, seed=2))
         assert result.all_ok
         assert result.model_tier == "built"
-        # Pool and queue workers are forks of the parent, so they
-        # inherit the model the parent built.
+        # Queue workers are forks of the parent, so they inherit the
+        # model the parent built.
         tiers = [r.model_tier for r in result.tile_results]
         assert tiers == ["memory", "memory"]
         run = load_run(run_dir)

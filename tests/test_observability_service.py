@@ -74,7 +74,6 @@ def tiny_service_config(root, **overrides):
 SERIAL_PAYLOAD = {
     "layout": "synth:1024x1024:1",
     "mode": "fast",
-    "executor": "serial",
 }
 
 
@@ -443,8 +442,7 @@ class TestTraceIdPropagationE2E:
         try:
             client = ServiceClient(server.url)
             job = client.submit(
-                {"layout": "synth:1024x1024:1", "mode": "fast",
-                 "executor": "queue", "workers": 1},
+                {"layout": "synth:1024x1024:1", "mode": "fast", "workers": 1},
                 trace_id="e2e" + "0" * 29,
             )
             trace_id = job["trace_id"]

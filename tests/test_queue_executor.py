@@ -5,11 +5,10 @@ queue-executor full-chip solve with one worker SIGKILLed mid-solve via
 ``REPRO_FULLCHIP_FAULTS``.  The run must still complete every
 tile, the recovered tile's stitched mask must equal an uninterrupted
 run's bit-for-bit, and exactly one ``job_requeued`` event must latch —
-the whole durability story end to end.  The default executor's forked
-workers run on the same queue, in a private directory when the run has
-none, and recover the same kill.  The cheaper tests drive
-``run_worker`` in-process against a hand-seeded queue and pin the
-executor dispatch seam.
+the whole durability story end to end.  A run with no run directory
+forks its workers onto a private queue and recovers the same kill.  The
+cheaper tests drive ``run_worker`` in-process against a hand-seeded
+queue and pin the placement rule.
 """
 
 import os
@@ -92,42 +91,33 @@ def _row_jobs(litho):
 
 class TestExecutorFor:
     def test_dispatch_table(self, tmp_path):
-        assert isinstance(executor_for("serial", 4, 4), SerialExecutor)
-        # One solver at a time: the pool kind solves inline.
-        assert isinstance(executor_for("pool", 1, 4), SerialExecutor)
-        assert isinstance(executor_for("pool", 4, 1), SerialExecutor)
-        # Otherwise it forks min(workers, jobs) queue workers, in the
-        # run directory or, with none, in a private one.
-        pool = executor_for("pool", 4, 3, run_dir=tmp_path)
-        assert isinstance(pool, QueueWorkerExecutor)
-        assert pool.workers == 3 and pool.run_dir == tmp_path
-        private = executor_for("pool", 2, 4)
-        assert isinstance(private, QueueWorkerExecutor)
-        assert private.workers == 2 and private.run_dir is None
-        queue_exec = executor_for("queue", 2, 4, run_dir=tmp_path)
-        assert isinstance(queue_exec, QueueWorkerExecutor)
-        assert queue_exec.workers == 2
+        # No run directory and one solver at a time: inline.
+        assert isinstance(executor_for(1, 4), SerialExecutor)
+        assert isinstance(executor_for(4, 1), SerialExecutor)
+        # Otherwise min(workers, jobs) forked queue workers, in the run
+        # directory or, with none, in a private one.
+        for workers, jobs, run_dir, forked in [
+            (1, 4, tmp_path, 1),
+            (4, 1, tmp_path, 1),
+            (4, 3, tmp_path, 3),
+            (2, 4, None, 2),
+        ]:
+            executor = executor_for(workers, jobs, run_dir=run_dir)
+            assert isinstance(executor, QueueWorkerExecutor)
+            assert executor.workers == forked and executor.run_dir == run_dir
         # Every forked run takes the given queue settings.
         config = QueueConfig(lease_s=7.0, backoff_s=0.1)
-        assert executor_for("pool", 2, 4, queue_config=config).queue_config == config
+        assert executor_for(2, 4, queue_config=config).queue_config == config
 
     def test_solvers_at_once(self, tmp_path):
         # The engine divides the usable cores by this count.
-        assert executor_for("serial", 4, 3).solvers_at_once(3) == 1
-        assert executor_for("pool", 4, 3).solvers_at_once(3) == 3
-        assert executor_for("pool", 2, 3).solvers_at_once(3) == 2
-        assert executor_for("pool", 2, 1).solvers_at_once(1) == 1
-        assert executor_for("queue", 2, 4, run_dir=tmp_path).solvers_at_once(4) == 2
+        assert executor_for(4, 1).solvers_at_once(1) == 1
+        assert executor_for(1, 3, run_dir=tmp_path).solvers_at_once(3) == 1
+        assert executor_for(4, 3).solvers_at_once(3) == 3
+        assert executor_for(2, 3).solvers_at_once(3) == 2
+        assert executor_for(2, 4, run_dir=tmp_path).solvers_at_once(4) == 2
         with pytest.raises(FullChipError, match="workers"):
-            executor_for("queue", 0, 4, run_dir=tmp_path)
-
-    def test_queue_requires_run_dir(self):
-        with pytest.raises(FullChipError, match="run directory"):
-            executor_for("queue", 2, 4)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(FullChipError):
-            executor_for("carrier-pigeon", 2, 4)
+            executor_for(0, 4, run_dir=tmp_path)
 
 
 class TestRunWorker:
@@ -259,31 +249,21 @@ class TestAbandonmentGrace:
 
 class TestEngineQueueExecutor:
     def test_config_validation(self, tmp_path):
-        with pytest.raises(FullChipError, match="telemetry_dir"):
-            FullChipConfig(
-                tile_nm=1024.0, probe_extent_nm=PROBE_NM, executor="queue"
-            )
-        with pytest.raises(FullChipError, match="executor"):
-            FullChipConfig(
-                tile_nm=1024.0, probe_extent_nm=PROBE_NM, executor="nope"
-            )
         with pytest.raises(FullChipError, match="lease_s"):
             FullChipConfig(
                 tile_nm=1024.0,
                 probe_extent_nm=PROBE_NM,
-                executor="queue",
                 telemetry_dir=str(tmp_path),
                 queue_lease_s=0.0,
             )
 
     @pytest.mark.parametrize(
-        "executor, workers, with_run_dir",
-        [("queue", 1, True), ("pool", 2, True), ("queue", 2, True),
-         ("pool", 2, False)],
-        ids=["queue-1", "pool-2", "queue-2", "pool-2-private"],
+        "workers, with_run_dir",
+        [(1, True), (2, True), (2, False)],
+        ids=["queue-1", "queue-2", "private-2"],
     )
     def test_queue_run_matches_default_run(
-        self, tmp_path, monkeypatch, executor, workers, with_run_dir
+        self, tmp_path, monkeypatch, workers, with_run_dir
     ):
         """A clean forked solve is bit-identical to the serial default."""
         litho = _fc_litho()
@@ -305,7 +285,6 @@ class TestEngineQueueExecutor:
             config=FullChipConfig(
                 tile_nm=1024.0,
                 probe_extent_nm=PROBE_NM,
-                executor=executor,
                 workers=workers,
                 telemetry_dir=str(run_dir) if with_run_dir else None,
                 queue_lease_s=60.0,
@@ -324,7 +303,7 @@ class TestEngineQueueExecutor:
             assert state is not None
             assert state["counts"]["done"] == len(result.tile_results)
             assert state["counts"]["requeued"] == 0
-            assert state["lease_s"] == 60.0  # the config's, on every kind
+            assert state["lease_s"] == 60.0  # the config's, at any count
         else:
             assert len(seen_private) == len(result.tile_results)
             assert all(
@@ -332,10 +311,7 @@ class TestEngineQueueExecutor:
                 for names in seen_private
             )
 
-    @pytest.mark.parametrize("executor", ["pool", "queue"])
-    def test_resumed_run_solves_a_failed_tile_again(
-        self, tmp_path, monkeypatch, executor
-    ):
+    def test_resumed_run_solves_a_failed_tile_again(self, tmp_path, monkeypatch):
         """The queue is disposable: a resumed run seeds it afresh and
         resumes from the done markers, so a tile that failed is solved
         again."""
@@ -344,7 +320,6 @@ class TestEngineQueueExecutor:
         config = dict(
             tile_nm=1024.0,
             probe_extent_nm=PROBE_NM,
-            executor=executor,
             workers=2,
             keep_going=True,
             telemetry_dir=str(tmp_path / "run"),
@@ -392,7 +367,6 @@ def kill_run(tmp_path_factory):
         config=FullChipConfig(
             tile_nm=1024.0,
             probe_extent_nm=PROBE_NM,
-            executor="queue",
             workers=2,
             keep_going=True,
             telemetry_dir=str(run_dir),
@@ -479,8 +453,8 @@ class TestKillRecoveryAcceptance:
 
 
 def test_default_executor_recovers_a_killed_worker(kill_run, monkeypatch):
-    """``workers=2`` on the default executor, with no run directory,
-    survives a SIGKILLed worker: the tile is requeued and re-solved."""
+    """``workers=2`` with no run directory, on a private queue, survives
+    a SIGKILLed worker: the tile is requeued and re-solved."""
     *_, reference = kill_run
     monkeypatch.setenv(TILE_FAULTS_ENV, f"kill@{KILLED[0]},{KILLED[1]}:2")
     result = FullChipEngine(

@@ -70,7 +70,6 @@ def tiny_service_config(root, **overrides):
 SERIAL_PAYLOAD = {
     "layout": "synth:1024x1024:1",
     "mode": "fast",
-    "executor": "serial",
 }
 
 #: A payload that sets every key to a value other than its default.
@@ -81,7 +80,6 @@ FULL_PAYLOAD = {
     "tile_nm": 512,
     "halo_nm": 96.0,
     "workers": 2,
-    "executor": "pool",
     "keep_going": True,
     "use_sraf": False,
     "backend": "numpy:float32",
@@ -184,7 +182,7 @@ class TestCacheKey:
     def test_placement_knobs_do_not_change_the_key(self):
         base = normalize_payload(dict(SERIAL_PAYLOAD))
         moved = normalize_payload(
-            {**SERIAL_PAYLOAD, "workers": 4, "executor": "queue", "keep_going": True}
+            {**SERIAL_PAYLOAD, "workers": 4, "keep_going": True}
         )
         assert cache_key_for(base, "1.0") == cache_key_for(moved, "1.0")
 
@@ -225,7 +223,7 @@ class TestCacheKey:
             "workers", "keep_going", "max_retries", "tile_timeout_s",
             "checkpoint_dir", "checkpoint_every", "resume", "telemetry_dir",
             "resource_interval_s", "watchdog_stall_factor",
-            "watchdog_min_stall_s", "executor", "queue_lease_s",
+            "watchdog_min_stall_s", "queue_lease_s",
             "queue_max_requeues", "queue_backoff_s", "trace_id",
         }
         assert set(RESULT_FIELDS) == result
@@ -249,7 +247,7 @@ class TestNormalizePayload:
     def test_defaults_filled(self):
         normalized = normalize_payload({"layout": "B1"})
         assert normalized["mode"] == "fast"
-        assert normalized["executor"] == "queue"
+        assert "executor" not in normalized
         assert normalized["tile_nm"] == 1024.0
         assert normalized["workers"] == 1
 
@@ -265,6 +263,7 @@ class TestNormalizePayload:
             {"layout": "B1", "mode": "heroic"},
             {"layout": "B1", "scale": "huge"},
             {"layout": "B1", "executor": "carrier-pigeon"},
+            {"layout": "B1", "executor": "queue"},
             {"layout": "B1", "tile_nm": -5},
             {"layout": "B1", "tile_nm": "wide"},
             {"layout": "B1", "workers": 0},
@@ -313,7 +312,6 @@ class TestPayloadMapping:
                 probe_extent_nm=PROBE_NM,
                 telemetry_dir=str(service.store.run_dir(job.id)),
                 backend="numpy:float32",
-                executor="pool",
                 trace_id="trace-pin",
             )
         ]
@@ -396,7 +394,6 @@ class TestServiceEndToEnd:
                 tile_nm=1024.0,
                 workers=1,
                 solver_mode="fast",
-                executor="serial",
                 probe_extent_nm=PROBE_NM,
                 telemetry_dir=str(tmp_path / "direct"),
             ),
@@ -477,7 +474,6 @@ class TestQueueCancel:
                 {
                     "layout": "synth:2048x2048:3",
                     "mode": "fast",
-                    "executor": "queue",
                     "workers": 1,
                 }
             )
