@@ -1,15 +1,17 @@
 """Benchmark: serial vs forked-worker tiled full-chip solves.
 
 Runs the full-chip engine on a 2048 nm synthetic canvas (2x2 tiles at
-1024 nm tile size) inline, with ``workers=2`` on the default executor
-(two forked queue workers, their queue in a private temporary
-directory) and on the queue executor with two local workers (its run
-directory under ``tmp_path``), asserting that all three produce the
-*identical* stitched mask and — when the machine actually has cores to
-parallelize over — that the ``workers=2`` default wins wall-clock.
-The record keeps its keys: ``parallel_s`` and ``speedup`` time the
-``workers=2`` default, ``queue_s`` and ``queue_speedup`` the queue
-executor.  Results land in ``BENCH_fullchip.json``
+1024 nm tile size) inline, with ``workers=2`` and no run directory (two
+forked queue workers, their queue in a private temporary directory),
+and with ``workers=2`` and a run directory under ``tmp_path`` (the
+queue in it), asserting that all three produce the *identical*
+stitched mask and — when the machine actually has cores to parallelize
+over — that ``workers=2`` with no run directory wins wall-clock.  Each
+mode's time is the median of ``ROUNDS`` solves, the modes interleaved
+round by round so that a shared host's drift falls on every mode
+alike.  The record keeps its keys: ``parallel_s`` and ``speedup`` time
+the private-queue run, ``queue_s`` and ``queue_speedup`` the run-dir
+queue.  Results land in ``BENCH_fullchip.json``
 at the repository root (uploaded as a CI artifact, and gated against the
 checked-in baseline by ``python -m repro bench-check``; timing keys end
 in ``_s`` and ``speedup*`` keys are higher-is-better, which is how
@@ -46,7 +48,7 @@ TILE_NM = 1024.0
 PIXEL_NM = 16.0
 PROBE_NM = 1024.0
 ITERATIONS = 30
-ROUNDS = 2
+ROUNDS = 5
 SPEEDUP_FLOOR = 1.1
 
 
@@ -69,18 +71,25 @@ def _engine(litho: LithoConfig, workers: int, **config) -> FullChipEngine:
     )
 
 
-def _time_solve(litho: LithoConfig, layout, workers: int, run_dir=None):
-    """Best of ``ROUNDS`` solves; a queue run gets a fresh directory each round."""
-    best = np.inf
-    result = None
+def _time_modes(litho: LithoConfig, layout, run_root: Path):
+    """Per-mode median seconds and last result over ``ROUNDS`` rounds.
+
+    Each round solves once in every mode; the queue mode gets a fresh
+    run directory each round.
+    """
+    times = {"serial": [], "parallel": [], "queue": []}
+    results = {}
     for k in range(ROUNDS):
-        config = {}
-        if run_dir is not None:
-            config = {"executor": "queue", "telemetry_dir": str(run_dir / f"round{k}")}
-        start = time.perf_counter()
-        result = _engine(litho, workers, **config).solve(layout)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for mode, workers, config in (
+            ("serial", 1, {}),
+            ("parallel", 2, {}),
+            ("queue", 2, {"telemetry_dir": str(run_root / f"round{k}")}),
+        ):
+            start = time.perf_counter()
+            results[mode] = _engine(litho, workers, **config).solve(layout)
+            times[mode].append(time.perf_counter() - start)
+    medians = {mode: float(np.median(samples)) for mode, samples in times.items()}
+    return medians, results
 
 
 def test_fullchip_parallel_speedup(benchmark, emit, tmp_path):
@@ -90,9 +99,13 @@ def test_fullchip_parallel_speedup(benchmark, emit, tmp_path):
     # the warmed module cache, so none pays the one-time cost.
     ambit_model_for(litho, probe_extent_nm=PROBE_NM)
 
-    serial_s, serial_result = _time_solve(litho, layout, workers=1)
-    parallel_s, parallel_result = _time_solve(litho, layout, workers=2)
-    queue_s, queue_result = _time_solve(litho, layout, workers=2, run_dir=tmp_path)
+    medians, results = _time_modes(litho, layout, tmp_path)
+    serial_s, parallel_s, queue_s = (
+        medians[mode] for mode in ("serial", "parallel", "queue")
+    )
+    serial_result, parallel_result, queue_result = (
+        results[mode] for mode in ("serial", "parallel", "queue")
+    )
     speedup = serial_s / parallel_s
     queue_speedup = serial_s / queue_s
 
