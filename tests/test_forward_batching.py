@@ -11,8 +11,9 @@ full-chip window (dense support, unpruned inverse FFT) — and gradients
 reassociate only at the 1e-12 level.  The bitwise pins hold at one
 thread and at two, where the batched transforms split across threads.
 ``TestParentEnginePin`` holds the engine, gradients included, to a
-verbatim copy of the parent engine's numpy expressions at one, two and
-three threads.
+verbatim copy of the parent engine's numpy expressions at one to four
+threads, and ``TestParentCompositePin`` holds the composite objective to
+a frozen copy of its terms, their merge and the adjoint.
 
 The cross-backend comparisons are parametrized over every registered
 array backend (``backend`` fixture): the reference side always runs on
@@ -30,11 +31,15 @@ from repro.config import LithoConfig, OptimizerConfig
 from repro.errors import OpticsError
 from repro.fullchip.ambit import AmbitModel
 from repro.fullchip.engine import FullChipConfig, FullChipEngine
+from repro.geometry.layout import Layout
+from repro.geometry.raster import rasterize_layout
+from repro.geometry.rect import Rect
 from repro.litho.simulator import LithographySimulator
 from repro.obs import Instrumentation
 from repro.opc.mosaic import MosaicFast
 from repro.opc.objectives import (
     CompositeObjective,
+    EPEObjective,
     ImageDifferenceObjective,
     PVBandObjective,
 )
@@ -51,6 +56,7 @@ from repro.optics.kernels import SOCSKernels, common_grid_shape
 from repro.optics.tcc import FrequencySupport
 from repro.process.corners import ProcessCorner, nominal_corner
 from repro.process.pvband import pv_band, pv_band_area
+from repro.utils.validation import sigmoid
 from repro.workloads.generator import synthetic_canvas
 from repro.workloads.iccad2013 import load_benchmark
 from repro.xp import fft_threads_scope, resolve_backend
@@ -294,7 +300,7 @@ class TestWindowSupportFormPin:
 # to these bits.
 
 #: Thread counts the parent-engine pin runs the engine at.
-PARENT_PIN_THREADS = (1, 2, 3)
+PARENT_PIN_THREADS = (1, 2, 3, 4)
 
 #: Chip evaluation grid of a two-tile canvas: a 256 x 512 px chip plus
 #: an ambit margin on every side.
@@ -551,6 +557,204 @@ class TestParentEnginePin:
                 got_value, got_grad = composite.value_and_gradient(engine_sim.context(mask))
             assert got_value == value, f"{threads} thread(s)"
             assert np.array_equal(got_grad, grad), f"{threads} thread(s)"
+
+
+# The composite objective as it evaluated while every term ran on the
+# calling thread: each term's intensity contributions as the three
+# imaging terms computed them, merged in term order then corner order,
+# dose-combined per focus and back-projected by the parent adjoint, on
+# the parent engine's fields and intensities.  ``TestParentCompositePin``
+# holds ``CompositeObjective`` to these bits.
+
+
+class ParentImages:
+    """Soft printed images of one mask at the corners of a term set."""
+
+    def __init__(self, sim, mask, corners):
+        foci = []
+        for corner in corners:
+            if float(corner.defocus_nm) not in foci:
+                foci.append(float(corner.defocus_nm))
+        cache = ForwardCache(mask, xp="numpy")
+        stacks = parent_field_stacks(cache, [sim.kernels_at(f) for f in foci])
+        self.sim = sim
+        self.fields = dict(zip(foci, stacks))
+        self.intensity = {
+            f: parent_intensity(sim.kernels_at(f), self.fields[f]) for f in foci
+        }
+
+    def soft_image(self, corner):
+        aerial = corner.dose * self.intensity[float(corner.defocus_nm)]
+        return self.sim.resist.develop_soft(aerial)
+
+    def soft_derivative(self, z):
+        z = np.asarray(z, dtype=np.float64)
+        return self.sim.resist.config.theta_z * z * (1.0 - z)
+
+
+def parent_pvband_corners(objective, sim):
+    if objective._corners is not None:
+        return objective._corners
+    return [c for c in sim.corners() if not c.is_nominal]
+
+
+def parent_image_difference(objective, images):
+    corner = nominal_corner()
+    z = images.soft_image(corner)
+    diff = z - objective.target
+    scale = 1.0 / diff.size if objective.normalize else 1.0
+    penalty = diff**objective.gamma
+    if objective.weight is not None:
+        penalty = penalty * objective.weight
+    value = float(np.sum(penalty)) * scale
+    dz_di = images.soft_derivative(z)
+    df_di = scale * objective.gamma * diff ** (objective.gamma - 1) * dz_di
+    if objective.weight is not None:
+        df_di = df_di * objective.weight
+    return value, [(corner, df_di)]
+
+
+def parent_pvband(objective, images):
+    scale = 1.0 / objective.target.size if objective.normalize else 1.0
+    value = 0.0
+    contributions = []
+    for corner in parent_pvband_corners(objective, images.sim):
+        z = images.soft_image(corner)
+        diff = z - objective.target
+        penalty = diff**2 if objective.weight is None else objective.weight * diff**2
+        value += float(np.sum(penalty)) * scale
+        dz_di = images.soft_derivative(z)
+        df_di = scale * 2.0 * diff * dz_di
+        if objective.weight is not None:
+            df_di = df_di * objective.weight
+        contributions.append((corner, df_di))
+    return value, contributions
+
+
+def parent_epe(objective, images):
+    corner = objective.corner if objective.corner is not None else nominal_corner()
+    z = images.soft_image(corner)
+    d_flat = ((np.asarray(z, dtype=np.float64) - objective.target) ** 2).ravel()
+    dsum = d_flat[objective._window_flat].sum(axis=1) / objective._window_norm
+    sig = sigmoid(dsum, objective.theta_epe, objective.threshold_px)
+    value = float(np.sum(sig))
+    coeff = objective.theta_epe * sig * (1.0 - sig) / objective._window_norm
+    accum = np.zeros(objective.target.size, dtype=np.float64)
+    np.add.at(
+        accum,
+        objective._window_flat.ravel(),
+        np.repeat(coeff, objective._window_flat.shape[1]),
+    )
+    accum = accum.reshape(objective.target.shape)
+    df_dz = accum * 2.0 * (z - objective.target)
+    df_di = df_dz * images.soft_derivative(z)
+    return value, [(corner, df_di)]
+
+
+PARENT_TERMS = {
+    ImageDifferenceObjective: parent_image_difference,
+    PVBandObjective: parent_pvband,
+    EPEObjective: parent_epe,
+}
+
+
+def parent_term_corners(objective, sim):
+    if isinstance(objective, PVBandObjective):
+        return parent_pvband_corners(objective, sim)
+    if isinstance(objective, EPEObjective) and objective.corner is not None:
+        return [objective.corner]
+    return [nominal_corner()]
+
+
+def parent_composite(composite, sim, mask):
+    """``(value, gradient, term values)`` of ``composite`` on ``mask``."""
+    mask = np.asarray(mask, dtype=np.float64)
+    wanted = []
+    for _, objective in composite.terms:
+        wanted.extend(parent_term_corners(objective, sim))
+    images = ParentImages(sim, mask, wanted)
+    total = 0.0
+    grad = np.zeros_like(mask)
+    term_values = {}
+    merged = []
+    for name, (weight, objective) in zip(composite.term_names, composite.terms):
+        value, contributions = PARENT_TERMS[type(objective)](objective, images)
+        if weight:
+            merged.extend((corner, weight * df_di) for corner, df_di in contributions)
+        term_values[name] = value
+        if weight:
+            total += weight * value
+    if merged:
+        grad += parent_gradient_all_corners(
+            sim, mask, merged, fields_by_focus=images.fields
+        )
+    return total, grad, term_values
+
+
+#: The composites the pin evaluates: MOSAIC_fast's and MOSAIC_exact's
+#: term pairs, each with and without a region weight.
+COMPOSITE_CASES = ("fast", "fast-region", "exact", "exact-region")
+
+
+def composite_case(sim, case, rng):
+    """``(composite, mask)`` for one of :data:`COMPOSITE_CASES` on ``sim``'s grid."""
+    grid = sim.grid
+    rows, cols = grid.shape
+    layout = Layout("pin", clip=Rect(0, 0, cols * grid.pixel_nm, rows * grid.pixel_nm))
+    layout.add(
+        Rect(
+            cols // 4 * grid.pixel_nm,
+            rows // 4 * grid.pixel_nm,
+            cols // 2 * grid.pixel_nm,
+            rows // 2 * grid.pixel_nm,
+        )
+    )
+    target = rasterize_layout(layout, grid).astype(np.float64)
+    region = None
+    if case.endswith("-region"):
+        band_r, band_c = rows // 8, cols // 8
+        region = np.zeros(grid.shape)
+        region[band_r : rows - band_r, band_c : cols - band_c] = 1.0
+    if case.startswith("fast"):
+        design = ImageDifferenceObjective(target, gamma=4, weight=region)
+        alpha = 640.0
+    else:
+        design = EPEObjective(target, layout, grid, region=region)
+        alpha = 5000.0
+    composite = CompositeObjective(
+        [(alpha, design), (64.0, PVBandObjective(target, weight=region))]
+    )
+    mask = np.clip(target + 0.1 * rng.standard_normal(grid.shape), 0.05, 0.95)
+    return composite, mask
+
+
+class TestParentCompositePin:
+    """``CompositeObjective`` against a frozen copy of the parent composite.
+
+    ``TestParentEnginePin.test_composite_value_and_gradient`` takes its
+    reference from the production composite on a parent-engine context,
+    so a change inside the composite passes there.  Here the terms'
+    contributions, their merge, the dose combination and the adjoint are
+    the parent's own expressions.  At four threads the per-focus work
+    splits across two threads each.
+    """
+
+    @pytest.mark.parametrize("case", COMPOSITE_CASES)
+    def test_value_and_gradient(self, engine_sim, case, rng):
+        composite, mask = composite_case(engine_sim, case, rng)
+        value, grad, term_values = parent_composite(composite, engine_sim, mask)
+        for threads in PARENT_PIN_THREADS:
+            with fft_threads_scope(threads):
+                got_value, got_grad = composite.value_and_gradient(
+                    engine_sim.context(mask)
+                )
+                got_terms = dict(composite.last_term_values)
+                value_only = composite.value(engine_sim.context(mask))
+            assert got_value == value, f"{threads} thread(s)"
+            assert np.array_equal(got_grad, grad), f"{threads} thread(s)"
+            assert got_terms == term_values, f"{threads} thread(s)"
+            assert value_only == value, f"{threads} thread(s)"
+            assert composite.last_term_values == term_values, f"{threads} thread(s)"
 
 
 @pytest.fixture(scope="module")
