@@ -8,10 +8,9 @@ is observable through :meth:`LithographySimulator.cache_info` and the
 ``kernel_cache_hits`` / ``kernel_cache_misses`` metrics.
 
 Multi-corner evaluation is batched: :meth:`simulate_all_corners`
-computes ``fft2(M)`` once, stacks every (focus x kernel) spectrum and
-runs a single vectorized inverse FFT, and :meth:`gradient_all_corners`
-folds the whole multi-corner adjoint into one batched forward FFT plus a
-single inverse FFT.  Single-corner :meth:`aerial` calls the per-kernel
+computes ``fft2(M)`` once and runs one vectorized inverse FFT per focus,
+and :meth:`gradient_all_corners` folds the whole multi-corner adjoint
+into one batched forward FFT per focus plus a single inverse FFT.  Single-corner :meth:`aerial` calls the per-kernel
 :func:`~repro.optics.hopkins.aerial_image`, which is also the reference
 the equivalence tests hold the batched engine to.
 """
@@ -189,10 +188,10 @@ class LithographySimulator:
     ) -> List[np.ndarray]:
         """Aerial images at every corner from one batched evaluation.
 
-        Computes ``fft2(M)`` once, stacks all (focus x kernel) spectra
-        into a single array and runs one vectorized ``ifft2`` over the
-        leading axis, then applies each corner's dose.  Corners sharing
-        a focus share one intensity image.
+        Computes ``fft2(M)`` once, stacks each focus's kernel spectra
+        and runs one vectorized ``ifft2`` per stack, then applies each
+        corner's dose.  Corners sharing a focus share one intensity
+        image.
 
         Returns:
             Aerial intensity images aligned with ``corners``
@@ -226,8 +225,8 @@ class LithographySimulator:
         the post-diffusion intensity the resist thresholds, exactly as in
         :meth:`repro.opc.ForwardContext.accumulate_intensity_gradients`).
         Same-focus corners are dose-combined *before* the adjoint — FFTs
-        are linear — so the whole set costs one batched forward FFT plus
-        a single inverse FFT.
+        are linear — so the whole set costs one batched forward FFT per
+        focus plus a single inverse FFT.
 
         Args:
             mask: the mask iterate the fields belong to.
@@ -244,14 +243,12 @@ class LithographySimulator:
         ]
         if not contributions:
             return np.zeros(self.grid.shape)
-        # Dose-combine per focus BEFORE the diffusion blur: both are
-        # linear, so the whole corner set costs one blur per focus.
-        combined: Dict[float, np.ndarray] = {}
+        by_focus: Dict[float, List[Tuple[ProcessCorner, np.ndarray]]] = {}
         for corner, df_di in contributions:
-            key = float(corner.defocus_nm)
-            scaled = corner.dose * np.asarray(df_di, dtype=np.float64)
-            combined[key] = combined[key] + scaled if key in combined else scaled
-        combined = {key: self.resist.diffuse(value) for key, value in combined.items()}
+            by_focus.setdefault(float(corner.defocus_nm), []).append((corner, df_di))
+        combined = {
+            focus: self.focus_intensity_gradient(pairs) for focus, pairs in by_focus.items()
+        }
         if fields_by_focus is None or any(f not in fields_by_focus for f in combined):
             cache = ForwardCache(mask, obs=self.obs, xp=self.xp)
             kernel_sets = [self.kernels_at(f) for f in combined]
@@ -263,6 +260,21 @@ class LithographySimulator:
                 (combined[f], fields_by_focus[f], self.kernels_at(f)) for f in combined
             ]
             return accumulate_backprojection(groups, xp=self.xp)
+
+    def focus_intensity_gradient(
+        self, contributions: Sequence[Tuple[ProcessCorner, np.ndarray]]
+    ) -> np.ndarray:
+        """One focus's ``(corner, dF/dI_eff)`` pairs as one intensity gradient.
+
+        Each pair is scaled by its corner's dose and the pairs are added
+        in order, then the sum goes through the diffusion adjoint once:
+        both are linear, so a focus costs one blur and one adjoint.
+        """
+        combined: Optional[np.ndarray] = None
+        for corner, df_di in contributions:
+            scaled = corner.dose * np.asarray(df_di, dtype=np.float64)
+            combined = scaled if combined is None else combined + scaled
+        return self.resist.diffuse(combined)
 
     # -- process-window evaluation ----------------------------------------------
 

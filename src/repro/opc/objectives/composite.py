@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...errors import OptimizationError
 from ...process.corners import ProcessCorner
-from ..state import ForwardContext
+from ..state import FocusPlan, ForwardContext
 from .base import ImagingObjective, Objective
 
 
@@ -64,52 +64,86 @@ class CompositeObjective(Objective):
         self.last_term_values: Dict[str, float] = {}
 
     def value_and_gradient(self, ctx: ForwardContext) -> Tuple[float, np.ndarray]:
-        tracer = ctx.sim.obs.tracer
-        total = 0.0
-        grad = np.zeros_like(ctx.mask)
-        self.last_term_values = {}
-
-        # Prefetch fields for every imaging term's corners in one batched
-        # forward evaluation, so no term triggers its own FFT round-trip.
-        wanted: List[ProcessCorner] = []
-        for _, objective in self.terms:
-            if isinstance(objective, ImagingObjective):
-                wanted.extend(objective.required_corners(ctx))
-        if wanted:
-            ctx.ensure_fields(wanted)
-
-        # Imaging terms hand back intensity-space gradients; merging them
-        # lets the whole composite cost one adjoint pass (FFTs are linear,
-        # so weighting dF/dI before the adjoint equals weighting dF/dM).
-        merged: List[Tuple[ProcessCorner, np.ndarray]] = []
-        for name, (weight, objective) in zip(self.term_names, self.terms):
-            with tracer.span(f"term:{name}"):
-                if isinstance(objective, ImagingObjective):
-                    value, contributions = objective.intensity_contributions(ctx)
-                    if weight:
-                        merged.extend(
-                            (corner, weight * df_di) for corner, df_di in contributions
-                        )
-                else:
-                    value, g = objective.value_and_gradient(ctx)
-                    if weight:
-                        grad += weight * g
-            self.last_term_values[name] = value
-            if weight:
-                total += weight * value
-        if merged:
-            grad += ctx.accumulate_intensity_gradients(merged)
-        return total, grad
+        return self._evaluate(ctx, gradient=True)
 
     def value(self, ctx: ForwardContext) -> float:
-        """Composite value without any gradient work (line search path)."""
+        """Composite value without dF/dI or the adjoint (line search path)."""
+        return self._evaluate(ctx, gradient=False)[0]
+
+    def _evaluate(
+        self, ctx: ForwardContext, gradient: bool
+    ) -> Tuple[float, Optional[np.ndarray]]:
+        """Every term's value, and with ``gradient`` the summed dF/dM.
+
+        The imaging terms' (term, corner) pairs are grouped by focus in
+        first-seen order, and each focus runs as one task on the engine
+        threads (:meth:`ForwardContext.map_foci`): its fields and
+        intensity, every pair's contribution at that focus, the
+        dose-combined dF/dI (each ``weight * dF/dI`` in term then corner
+        order) and the adjoint up to its support samples.  The calling
+        thread then sums each term's values from ``0.0`` in corner
+        order, adds the foci's samples in focus order and runs the one
+        inverse transform: the same numpy calls on the same operands as
+        one thread running everything, so the bits do not depend on the
+        thread count.  Other terms run on the calling thread.
+        """
         tracer = ctx.sim.obs.tracer
+        # (term, position, corner) of every imaging term's corners, by focus.
+        corner_counts: Dict[int, int] = {}
+        pairs: Dict[float, List[Tuple[int, int, ProcessCorner]]] = {}
+        for i, (_, objective) in enumerate(self.terms):
+            if isinstance(objective, ImagingObjective):
+                corners = objective.required_corners(ctx)
+                corner_counts[i] = len(corners)
+                for j, corner in enumerate(corners):
+                    pairs.setdefault(float(corner.defocus_nm), []).append((i, j, corner))
+
+        def focus_task(plan: FocusPlan) -> Tuple[List[float], Any]:
+            ctx.image_focus(plan)
+            values: List[float] = []
+            contributions: List[Tuple[ProcessCorner, np.ndarray]] = []
+            for i, _, corner in pairs[plan.focus]:
+                weight, objective = self.terms[i]
+                value, df_di = objective.corner_contribution(ctx, corner, gradient)
+                values.append(value)
+                if gradient and weight:
+                    contributions.append((corner, weight * df_di))
+            if not contributions:
+                return values, None
+            return values, ctx.backproject_focus(plan, contributions)
+
+        results: List[Tuple[List[float], Any]] = []
+        plans: List[FocusPlan] = []
+        if pairs:
+            with tracer.span("focus_tasks"):
+                plans = ctx.plan_foci(c for group in pairs.values() for _, _, c in group)
+                results = ctx.map_foci(plans, focus_task)
+        corner_values: Dict[Tuple[int, int], float] = {}
+        for plan, (values, _) in zip(plans, results):
+            for (i, j, _), value in zip(pairs[plan.focus], values):
+                corner_values[i, j] = value
+
         total = 0.0
+        grad = np.zeros_like(ctx.mask) if gradient else None
         self.last_term_values = {}
-        for name, (weight, objective) in zip(self.term_names, self.terms):
-            with tracer.span(f"term:{name}"):
-                value = objective.value(ctx)
+        for i, (name, (weight, objective)) in enumerate(zip(self.term_names, self.terms)):
+            if i in corner_counts:
+                value = 0.0
+                for j in range(corner_counts[i]):
+                    value += corner_values[i, j]
+            else:
+                with tracer.span(f"term:{name}"):
+                    if gradient:
+                        value, g = objective.value_and_gradient(ctx)
+                        if weight:
+                            grad += weight * g
+                    else:
+                        value = objective.value(ctx)
             self.last_term_values[name] = value
             if weight:
                 total += weight * value
-        return total
+        parts = [(plan, samples) for plan, (_, samples) in zip(plans, results) if samples is not None]
+        if parts:
+            with tracer.span("adjoint_sum"):
+                grad += ctx.sum_adjoints(parts)
+        return total, grad

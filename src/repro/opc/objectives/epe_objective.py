@@ -154,14 +154,15 @@ class EPEObjective(ImagingObjective):
     def required_corners(self, ctx: ForwardContext) -> List[ProcessCorner]:
         return [self.corner if self.corner is not None else ctx.nominal]
 
-    def intensity_contributions(
-        self, ctx: ForwardContext
-    ) -> Tuple[float, List[Tuple[ProcessCorner, np.ndarray]]]:
-        corner = self.corner if self.corner is not None else ctx.nominal
+    def corner_contribution(
+        self, ctx: ForwardContext, corner: ProcessCorner, gradient: bool = True
+    ) -> Tuple[float, Optional[np.ndarray]]:
         z = ctx.soft_image(corner)
         dsum = self.dsums(z)
         sig = sigmoid(dsum, self.theta_epe, self.threshold_px)
         value = float(np.sum(sig))
+        if not gradient:
+            return value, None
 
         # Eq. 14: each sample weights its window by theta_epe*sig*(1-sig);
         # scatter-add those coefficients, then chain through D and Z.
@@ -175,4 +176,4 @@ class EPEObjective(ImagingObjective):
         accum = accum.reshape(self.target.shape)
         df_dz = accum * 2.0 * (z - self.target)
         df_di = df_dz * ctx.sim.resist.soft_derivative(z)
-        return value, [(corner, df_di)]
+        return value, df_di

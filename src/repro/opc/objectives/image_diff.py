@@ -63,14 +63,13 @@ class ImageDifferenceObjective(ImagingObjective):
     def required_corners(self, ctx: ForwardContext) -> List[ProcessCorner]:
         return [ctx.nominal]
 
-    def intensity_contributions(
-        self, ctx: ForwardContext
-    ) -> Tuple[float, List[Tuple[ProcessCorner, np.ndarray]]]:
+    def corner_contribution(
+        self, ctx: ForwardContext, corner: ProcessCorner, gradient: bool = True
+    ) -> Tuple[float, Optional[np.ndarray]]:
         if ctx.mask.shape != self.target.shape:
             raise OptimizationError(
                 f"mask {ctx.mask.shape} vs target {self.target.shape} shape mismatch"
             )
-        corner = ctx.nominal
         z = ctx.soft_image(corner)
         diff = z - self.target
         scale = 1.0 / diff.size if self.normalize else 1.0
@@ -78,10 +77,12 @@ class ImageDifferenceObjective(ImagingObjective):
         if self.weight is not None:
             penalty = penalty * self.weight
         value = float(np.sum(penalty)) * scale
+        if not gradient:
+            return value, None
 
         # dF/dI = gamma * diff^(gamma-1) * dZ/dI, with dZ/dI = theta_Z Z (1-Z).
         dz_di = ctx.sim.resist.soft_derivative(z)
         df_di = scale * self.gamma * diff ** (self.gamma - 1) * dz_di
         if self.weight is not None:
             df_di = df_di * self.weight
-        return value, [(corner, df_di)]
+        return value, df_di

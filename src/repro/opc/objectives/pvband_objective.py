@@ -55,28 +55,27 @@ class PVBandObjective(ImagingObjective):
         return [c for c in ctx.sim.corners() if not c.is_nominal]
 
     def required_corners(self, ctx: ForwardContext) -> List[ProcessCorner]:
-        return self.corners_for(ctx)
+        corners = self.corners_for(ctx)
+        if not corners:
+            raise OptimizationError("PVBandObjective needs at least one process corner")
+        return corners
 
-    def intensity_contributions(
-        self, ctx: ForwardContext
-    ) -> Tuple[float, List[Tuple[ProcessCorner, np.ndarray]]]:
+    def corner_contribution(
+        self, ctx: ForwardContext, corner: ProcessCorner, gradient: bool = True
+    ) -> Tuple[float, Optional[np.ndarray]]:
         if ctx.mask.shape != self.target.shape:
             raise OptimizationError(
                 f"mask {ctx.mask.shape} vs target {self.target.shape} shape mismatch"
             )
-        corners = self.corners_for(ctx)
-        if not corners:
-            raise OptimizationError("PVBandObjective needs at least one process corner")
         scale = 1.0 / self.target.size if self.normalize else 1.0
-        value = 0.0
-        contributions: List[Tuple[ProcessCorner, np.ndarray]] = []
-        for corner, z in zip(corners, ctx.soft_images(corners)):
-            diff = z - self.target
-            penalty = diff**2 if self.weight is None else self.weight * diff**2
-            value += float(np.sum(penalty)) * scale
-            dz_di = ctx.sim.resist.soft_derivative(z)
-            df_di = scale * 2.0 * diff * dz_di
-            if self.weight is not None:
-                df_di = df_di * self.weight
-            contributions.append((corner, df_di))
-        return value, contributions
+        z = ctx.soft_image(corner)
+        diff = z - self.target
+        penalty = diff**2 if self.weight is None else self.weight * diff**2
+        value = float(np.sum(penalty)) * scale
+        if not gradient:
+            return value, None
+        dz_di = ctx.sim.resist.soft_derivative(z)
+        df_di = scale * 2.0 * diff * dz_di
+        if self.weight is not None:
+            df_di = df_di * self.weight
+        return value, df_di

@@ -15,17 +15,23 @@ and convolution with ``flip(conj(h_k))`` is multiplication by
 
 Batched evaluation: every objective term at every process corner images
 the *same* mask, so :class:`ForwardCache` computes ``fft2(M)`` exactly
-once per iterate, :func:`batched_field_stacks` runs one vectorized
-inverse transform over all (focus x kernel) spectra, and
-:func:`accumulate_backprojection` folds the whole multi-corner adjoint
-into one batched forward transform plus a *single* inverse FFT (the
-per-kernel weighted sums are accumulated on the frequency support, where
-the adjoint is diagonal, before transforming back).
+once per iterate.  There is one forward and one adjoint, each for one
+kernel set (one focus): :func:`kernel_set_fields` runs one vectorized
+inverse transform over the set's spectra, and :func:`kernel_set_adjoint`
+one batched forward transform whose per-kernel weighted sums are
+accumulated on the frequency support, where the adjoint is diagonal.
+:func:`sum_adjoints` adds every focus's support sums and transforms them
+back with a *single* inverse FFT.  :func:`batched_field_stacks` and
+:func:`accumulate_backprojection` run them over several foci.  Neither
+touches a counter, span or cache, so the composite objective runs one
+focus of each per task on the backend's threads
+(:meth:`~repro.xp.ArrayBackend.map_tasks`).
 
 Each batched stage writes one buffer per call and runs on the backend's
 threads (:meth:`~repro.xp.ArrayBackend.map_chunks`): the spectrum
 products go straight into the field stack, ``|E_k|^2`` into one float
-buffer, ``G'(I) * E_k`` straight into the adjoint stack, and the
+buffer, ``G'(I) * E_k`` straight into the adjoint's buffer (the field
+stack itself when the caller is done with the fields), and the
 transforms and the conjugate product run in place.  Elementwise stages
 split along the kernel axis and the weighted k-sums along pixels, so
 every output element is computed exactly as in the unsplit call.
@@ -58,7 +64,7 @@ import numpy as np
 
 from ..errors import GridError
 from ..obs import Instrumentation
-from ..xp import ArrayBackend, resolve_backend
+from ..xp import ArrayBackend, DeviceKernelData, resolve_backend
 from .kernels import SOCSKernels, common_grid_shape
 from .tcc import FrequencySupport
 
@@ -341,7 +347,7 @@ class ForwardCache:
         return ForwardCacheInfo(mask_ffts=self._mask_ffts, reuses=self._reuses)
 
 
-def _support_rows(
+def support_rows(
     supports: Sequence[FrequencySupport], num_rows: int
 ) -> Optional[np.ndarray]:
     """Sorted unique grid rows touched by any support, or None.
@@ -350,7 +356,8 @@ def _support_rows(
     frequency rows, which lets the batched transforms prune the 1-D pass
     over the untouched (all-zero / never-read) rows.  Returns None when
     a support is dense or the supports span most rows, so pruning would
-    not pay.
+    not pay.  Every focus of one evaluation transforms with the rows of
+    all its foci.
     """
     if any(s.dense for s in supports):
         return None
@@ -360,16 +367,145 @@ def _support_rows(
     return rows
 
 
+def kernel_set_fields(
+    xp: ArrayBackend,
+    kernels: SOCSKernels,
+    data: DeviceKernelData,
+    m_sup: Any,
+    rows_used: Optional[np.ndarray],
+) -> Any:
+    """Coherent fields of one kernel set: the forward for one focus.
+
+    Every spectrum product ``m_sup * Phi_k`` is written onto the leading
+    axis of one stack, in kernel-axis chunks on the backend's threads,
+    and one batched ``ifft2`` transforms it in place.  With
+    ``rows_used`` (:func:`support_rows`) the first 1-D pass runs on
+    those rows alone: the spectra are zero elsewhere, and transforming
+    exact zeros yields exact zeros, so the fields are bitwise the full
+    transform's.
+
+    Touches no counter, span or cache: ``data`` (``xp.kernel_data``)
+    and ``m_sup`` (:meth:`ForwardCache.gathered`) come from the caller,
+    so one call per focus may run on the backend's threads at once.
+
+    Returns:
+        Backend-native complex ``(h, rows, cols)`` field stack.
+    """
+    h = kernels.num_kernels
+    # A dense support writes every sample, so its stack needs no zeros.
+    allocate = xp.empty if kernels.support.dense else xp.zeros
+    fields = allocate((h,) + kernels.shape, "complex")
+    # Two-step view indexing (slice first, then the advanced index)
+    # keeps the write portable across numpy/cupy/torch setitem rules.
+    xp.map_chunks(
+        lambda lo, hi: _scatter_product(
+            xp, fields[lo:hi], data.rows, data.cols, m_sup, data.spectra[lo:hi]
+        ),
+        h,
+        h * kernels.support.size,
+    )
+    if rows_used is None:
+        xp.ifft2(fields, out=fields)
+    else:
+        ru = xp.asarray(rows_used, "index")
+        pruned = fields[:, ru, :]
+        fields[:, ru, :] = xp.ifft(pruned, axis=-1, out=pruned)
+        xp.ifft(fields, axis=-2, out=fields)
+    return fields
+
+
+def kernel_set_adjoint(
+    xp: ArrayBackend,
+    df_di: np.ndarray,
+    fields: Any,
+    kernels: SOCSKernels,
+    data: DeviceKernelData,
+    rows_used: Optional[np.ndarray],
+    out: Any,
+) -> Any:
+    """The adjoint for one focus, up to its k-summed support samples.
+
+    ``G'(I) * E_k`` is written into ``out`` (a ``(h, rows, cols)``
+    complex buffer, which may be ``fields`` itself), the forward
+    transform and the conjugate product run in place on it, and the
+    weighted k-sum ``sum_k w_k conj(Phi_k) fft2(G'(I) E_k)`` runs in
+    support chunks, all on the backend's threads.  With ``rows_used``
+    the second 1-D pass runs on those rows alone, since only support
+    rows are gathered.  :func:`sum_adjoints` adds the returned samples
+    of every focus and transforms them back.
+
+    Touches no counter, span or cache, like :func:`kernel_set_fields`.
+
+    Returns:
+        Backend-native complex ``(support_size,)`` samples.
+    """
+    h = kernels.num_kernels
+    shape = kernels.shape
+    size = kernels.support.size
+    weight = xp.asarray(df_di, "float")
+    fields = xp.asarray(fields, "complex")
+    xp.map_chunks(
+        lambda lo, hi: xp.multiply(weight, fields[lo:hi], out=out[lo:hi]),
+        h,
+        h * shape[0] * shape[1],
+    )
+    rows = data.rows
+    if rows_used is None:
+        w_hat = xp.fft2(out, out=out)
+    else:
+        ru = xp.asarray(rows_used, "index")
+        w_hat = xp.fft(out, axis=-2, out=out)[:, ru, :]
+        xp.fft(w_hat, axis=-1, out=w_hat)
+        rows = xp.asarray(np.searchsorted(rows_used, kernels.support.rows), "index")
+    gathered = _gather(w_hat, rows, data.cols)
+    _conjugate_product(xp, gathered, data.spectra)
+    summed = xp.empty((size,), "complex")
+    xp.map_chunks(
+        lambda lo, hi: xp.einsum(
+            "k,ks->s", data.weights, gathered[:, lo:hi], out=summed[lo:hi]
+        ),
+        size,
+        h * size,
+    )
+    return summed
+
+
+def kernel_set_intensity(xp: ArrayBackend, data: DeviceKernelData, fields: Any) -> np.ndarray:
+    """Unit-dose intensity ``sum_k w_k |E_k|^2`` of one focus's fields.
+
+    Bitwise :func:`aerial_image` at dose 1 on the same fields, and
+    touches no cache, like :func:`kernel_set_fields`.
+    """
+    return xp.to_numpy(_weighted_intensity(xp, data.weights, fields))
+
+
+def sum_adjoints(
+    xp: ArrayBackend, shape: Tuple[int, int], parts: Sequence[Tuple[DeviceKernelData, Any]]
+) -> np.ndarray:
+    """``2 Re ifft2`` of every focus's support samples, added in order.
+
+    ``parts`` holds one ``(data, samples)`` pair per focus, the samples
+    from :func:`kernel_set_adjoint`.  The adjoint is diagonal on the
+    frequency support, so the foci meet here and cost one inverse FFT.
+
+    Returns:
+        Real gradient contribution on the mask plane (numpy).
+    """
+    accum = xp.zeros(shape, "complex")
+    for data, summed in parts:
+        _scatter(accum, data.rows, data.cols, _gather(accum, data.rows, data.cols) + summed)
+    return xp.to_numpy(2.0 * xp.real(xp.ifft2(accum)))
+
+
 def batched_field_stacks(
     cache: ForwardCache, kernel_sets: Sequence[SOCSKernels]
 ) -> List[Any]:
-    """Coherent fields for several kernel sets from one vectorized ifft2.
+    """Coherent fields for several kernel sets sharing one mask spectrum.
 
-    The batched counterpart of :func:`field_stack`: every (kernel-set x
-    kernel) spectrum product is written onto the leading axis of one
-    stack and a single batched ``ifft2`` transforms it in place, sharing
-    the cached mask spectrum across sets.  Runs on the cache's backend;
-    the products run in kernel-axis chunks on its threads.
+    The batched counterpart of :func:`field_stack`: one
+    :func:`kernel_set_fields` per set, each a single in-place batched
+    transform over its kernels, all sharing the cached mask spectrum and
+    the pruned rows of every set.  Runs on the cache's backend.
 
     Args:
         cache: the mask's spectrum cache.
@@ -387,46 +523,11 @@ def batched_field_stacks(
     shape = common_grid_shape(kernel_sets)
     if cache.shape != shape:
         raise GridError(f"mask shape {cache.shape} != kernel grid {shape}")
-    counts = [ks.num_kernels for ks in kernel_sets]
-    # A dense support writes every sample, so its stack needs no zeros.
-    dense = all(ks.support.dense for ks in kernel_sets)
-    stack_shape = (sum(counts),) + shape
-    allocate = xp.empty if dense else xp.zeros
-    stacked = allocate(stack_shape, "complex")
-    pos = 0
-    for ks in kernel_sets:
-        h = ks.num_kernels
-        kd = xp.kernel_data(ks)
-        m_sup = cache.gathered(ks.support)
-        # Two-step view indexing (slice first, then the advanced index)
-        # keeps the write portable across numpy/cupy/torch setitem rules.
-        block = stacked[pos : pos + h]
-        xp.map_chunks(
-            lambda lo, hi: _scatter_product(
-                xp, block[lo:hi], kd.rows, kd.cols, m_sup, kd.spectra[lo:hi]
-            ),
-            h,
-            h * ks.support.size,
-        )
-        pos += h
-    rows_used = _support_rows([ks.support for ks in kernel_sets], shape[0])
-    if rows_used is None:
-        xp.ifft2(stacked, out=stacked)
-    else:
-        # Row-pruned separable inverse: the stacked spectra are nonzero
-        # only on the band-limited support rows, so the first 1-D pass
-        # skips the all-zero rows (bitwise-identical to the full ifft2 —
-        # transforming exact zeros yields exact zeros).
-        ru = xp.asarray(rows_used, "index")
-        support_rows = stacked[:, ru, :]
-        stacked[:, ru, :] = xp.ifft(support_rows, axis=-1, out=support_rows)
-        xp.ifft(stacked, axis=-2, out=stacked)
-    out: List[Any] = []
-    pos = 0
-    for h in counts:
-        out.append(stacked[pos : pos + h])
-        pos += h
-    return out
+    rows_used = support_rows([ks.support for ks in kernel_sets], shape[0])
+    return [
+        kernel_set_fields(xp, ks, xp.kernel_data(ks), cache.gathered(ks.support), rows_used)
+        for ks in kernel_sets
+    ]
 
 
 def accumulate_backprojection(
@@ -437,15 +538,11 @@ def accumulate_backprojection(
 
     Numerically equivalent to
     ``sum(backproject_fields(df_di * fields, ks) for df_di, fields, ks in groups)``
-    but computed with one batched forward FFT over all (group x kernel)
-    fields and a *single* inverse FFT: because the adjoint is diagonal
-    on the frequency support, the per-kernel weighted sums are
-    accumulated there before transforming back.
-
-    ``G'(I) * E_k`` is written straight into one adjoint stack, the
-    forward transform and the conjugate product run in place on it, and
-    the weighted k-sums run in pixel chunks, all on the backend's
-    threads.
+    but computed with one batched forward FFT per group and a *single*
+    inverse FFT: because the adjoint is diagonal on the frequency
+    support, the per-kernel weighted sums are accumulated there before
+    transforming back (:func:`kernel_set_adjoint`, :func:`sum_adjoints`).
+    The groups' fields are left as they were.
 
     Args:
         groups: ``(df_di, fields, kernels)`` triples, one per focus
@@ -461,57 +558,16 @@ def accumulate_backprojection(
     xp = resolve_backend(xp)
     groups = list(groups)
     shape = common_grid_shape([ks for _, _, ks in groups])
-    total = 0
     for _, fields, ks in groups:
         if tuple(fields.shape) != (ks.num_kernels,) + shape:
             raise GridError(
                 f"fields shape {tuple(fields.shape)} inconsistent with "
                 f"{ks.num_kernels} kernels on grid {shape}"
             )
-        total += ks.num_kernels
-    pixels = shape[0] * shape[1]
-    stacked = xp.empty((total,) + shape, "complex")
-    pos = 0
+    rows_used = support_rows([ks.support for _, _, ks in groups], shape[0])
+    parts = []
     for df_di, fields, ks in groups:
-        h = ks.num_kernels
-        weight = xp.asarray(df_di, "float")
-        fields = xp.asarray(fields, "complex")
-        block = stacked[pos : pos + h]
-        xp.map_chunks(
-            lambda lo, hi: xp.multiply(weight, fields[lo:hi], out=block[lo:hi]),
-            h,
-            h * pixels,
-        )
-        pos += h
-    rows_used = _support_rows([ks.support for _, _, ks in groups], shape[0])
-    if rows_used is None:
-        w_hat = xp.fft2(stacked, out=stacked)
-    else:
-        # Row-pruned separable forward: only the support rows of the
-        # spectrum are ever gathered, so the second 1-D pass runs on
-        # those rows alone.
-        ru = xp.asarray(rows_used, "index")
-        w_hat = xp.fft(stacked, axis=-2, out=stacked)[:, ru, :]
-        xp.fft(w_hat, axis=-1, out=w_hat)
-    accum = xp.zeros(shape, "complex")
-    pos = 0
-    for _, _, ks in groups:
-        h = ks.num_kernels
-        size = ks.support.size
-        kd = xp.kernel_data(ks)
-        rows = kd.rows
-        if rows_used is not None:
-            rows = xp.asarray(np.searchsorted(rows_used, ks.support.rows), "index")
-        gathered = _gather(w_hat[pos : pos + h], rows, kd.cols)
-        _conjugate_product(xp, gathered, kd.spectra)
-        summed = xp.empty((size,), "complex")
-        xp.map_chunks(
-            lambda lo, hi: xp.einsum(
-                "k,ks->s", kd.weights, gathered[:, lo:hi], out=summed[lo:hi]
-            ),
-            size,
-            h * size,
-        )
-        _scatter(accum, kd.rows, kd.cols, _gather(accum, kd.rows, kd.cols) + summed)
-        pos += h
-    return xp.to_numpy(2.0 * xp.real(xp.ifft2(accum)))
+        data = xp.kernel_data(ks)
+        out = xp.empty((ks.num_kernels,) + shape, "complex")
+        parts.append((data, kernel_set_adjoint(xp, df_di, fields, ks, data, rows_used, out)))
+    return sum_adjoints(xp, shape, parts)

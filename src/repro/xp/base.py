@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..errors import OpticsError
+
+T = TypeVar("T")
 
 #: Precisions a backend spec may request.
 PRECISIONS = ("float64", "float32")
@@ -193,6 +195,16 @@ class ArrayBackend:
         range into contiguous chunks.
         """
         fn(0, n)
+
+    def map_tasks(self, tasks: Sequence[Callable[[], T]], points: int) -> List[T]:
+        """Run each of ``tasks`` once and return their results in order.
+
+        ``points`` is the size of the work the tasks hold together.
+        This base runs them in order on the calling thread; a backend
+        with a thread pool may run several at once, so a task must not
+        touch state another task or the caller uses meanwhile.
+        """
+        return [task() for task in tasks]
 
     # -- elementwise -------------------------------------------------------
 

@@ -15,6 +15,13 @@ computed on its own, so the result is bitwise the unsplit call's
 releases the GIL inside its FFTs and its ufunc and einsum loops, so the
 chunks run in parallel.
 
+Whole tasks run on the same threads (:meth:`NumpyBackend.map_tasks`):
+the engine's per-focus share of an objective evaluation is one task.
+Every chunk of a split, task or transform, runs under
+:func:`fft_threads_scope` with its share of the caller's threads, so a
+task that reaches a transform or stage splits only across that share,
+and the pool holds one thread fewer than the caller's count.
+
 ``NumpyBackend("float32")`` is the single-precision mode.  Its
 transforms route through ``scipy.fft`` (same pocketfft core), imported
 only when such a backend is built, and split the same way: each chunk
@@ -26,8 +33,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -43,6 +50,8 @@ SPLIT_MIN_POINTS = 100_000
 #: The numpy call behind each float64 transform when it writes into a
 #: given output.  Not np.fft.ifft2: it accepts out= but never writes to it.
 _NUMPY_OUT_CALLS = {"fft2": "fftn", "ifft2": "ifftn", "fft": "fft", "ifft": "ifft"}
+
+T = TypeVar("T")
 
 #: Thread count for the solve running in this context; None leaves every
 #: usable core.  Set by :func:`fft_threads_scope`.
@@ -197,28 +206,65 @@ class NumpyBackend(ArrayBackend):
         """``fn`` over contiguous chunks of ``[0, n)``, on the transforms' threads."""
         self._map(fn, n, self._chunk_count(n, points))
 
+    def map_tasks(self, tasks: Sequence[Callable[[], T]], points: int) -> List[T]:
+        """Each task once, on the transforms' threads; results in order.
+
+        One chunk of tasks per thread, up to one task each, when the
+        tasks hold :data:`SPLIT_MIN_POINTS` points together.
+        """
+        results: List[Any] = [None] * len(tasks)
+
+        def run(lo: int, hi: int) -> None:
+            for i in range(lo, hi):
+                results[i] = tasks[i]()
+
+        chunks = min(self.fft_threads, len(tasks)) if points >= SPLIT_MIN_POINTS else 1
+        self._map(run, len(tasks), max(chunks, 1))
+        return results
+
     def _map(self, fn: Callable[[int, int], None], n: int, chunks: int) -> None:
         """``fn(lo, hi)`` over ``chunks`` contiguous pieces of ``[0, n)``.
 
         The calling thread runs the first piece itself; the pool runs
-        the rest.
+        the rest.  Each piece runs under ``fft_threads_scope`` with its
+        share of the caller's threads, so a piece that splits again
+        splits only across that share.  A waiter runs a piece no pool
+        thread has started yet itself, so a full pool never deadlocks.
         """
         if chunks == 1:
             fn(0, n)
             return
+        threads = self.fft_threads
+        share = max(threads // chunks, 1)
+
+        def scoped(lo: int, hi: int) -> None:
+            with fft_threads_scope(share):
+                fn(lo, hi)
+
         bounds = [n * i // chunks for i in range(chunks + 1)]
-        pool = self._executor(chunks - 1)
-        futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        pool = self._executor(threads - 1)
+        pieces = list(zip(bounds[1:-1], bounds[2:]))
+        futures = [pool.submit(scoped, lo, hi) for lo, hi in pieces]
         try:
-            fn(0, bounds[1])
-        finally:
+            scoped(0, bounds[1])
+        except BaseException:
             for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
+        for future, (lo, hi) in zip(futures, pieces):
+            if future.cancel():
+                scoped(lo, hi)
+            else:
                 future.result()
 
     def _executor(self, workers: int) -> ThreadPoolExecutor:
         """The chunk pool, with at least ``workers`` threads.
 
-        Rebuilt in a forked child: the parent's pool threads do not
+        Sized on first use to the caller's threads less one (the caller
+        runs a piece itself), so the pieces of one split and the pieces
+        nested inside them all find a thread.  Rebuilt for a larger
+        count, and in a forked child: the parent's pool threads do not
         exist there, so work queued on the inherited pool would never
         run.  No lock guards the swap: racing callers at most build a
         spare pool, each still runs its chunks on the pool it got, and

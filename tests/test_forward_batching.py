@@ -23,6 +23,7 @@ forward gate instead.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from repro.geometry.raster import rasterize_layout
 from repro.geometry.rect import Rect
 from repro.litho.simulator import LithographySimulator
 from repro.obs import Instrumentation
+from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.opc.mosaic import MosaicFast
 from repro.opc.objectives import (
     CompositeObjective,
@@ -1067,6 +1070,59 @@ class TestFFTAccounting:
         sim.simulate_all_corners(random_mask(rng, sim.grid.shape))
         sim.simulate_all_corners(random_mask(rng, sim.grid.shape))
         assert sim.obs.metrics.counter("forward_mask_ffts").value == 2
+
+
+class TestTaskBookkeeping:
+    """The per-focus tasks leave every counter and span to the calling thread.
+
+    The tracer keeps one span stack and ``Counter.inc`` is an unlocked
+    ``+=``, so a task on a pool thread must touch neither.  A warm
+    ``MosaicFast`` solve at one thread and at two must count and trace
+    the same, and every counter, registry lookup and span must come from
+    the thread that called the solve.
+    """
+
+    COUNTERS = (
+        "forward_mask_ffts",
+        "forward_fft_reuse",
+        "kernel_cache_hits",
+        "kernel_cache_misses",
+        "forward_evals_total",
+        "iterations_total",
+    )
+
+    def _solve(self, threads, monkeypatch):
+        sim = LithographySimulator(
+            LithoConfig.reduced(), obs=Instrumentation.collecting(), backend="numpy"
+        )
+        sim.prewarm()
+        callers = set()
+
+        def recorded(method):
+            def call(self, *args, **kwargs):
+                callers.add(threading.get_ident())
+                return method(self, *args, **kwargs)
+
+            return call
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Counter, "inc", recorded(Counter.inc))
+            patch.setattr(MetricsRegistry, "_get", recorded(MetricsRegistry._get))
+            patch.setattr(Tracer, "span", recorded(Tracer.span))
+            with fft_threads_scope(threads):
+                MosaicFast(sim.config, simulator=sim).solve(load_benchmark("B1"))
+        assert callers == {threading.get_ident()}, f"{threads} thread(s)"
+        counters = {name: sim.obs.metrics.counter(name).value for name in self.COUNTERS}
+        spans = {path: s.count for path, s in sim.obs.tracer.stats().items()}
+        return counters, spans
+
+    def test_counters_and_spans_match_across_threads(self, monkeypatch):
+        one = self._solve(1, monkeypatch)
+        two = self._solve(2, monkeypatch)
+        assert one[0] == two[0]
+        assert one[1] == two[1]
+        assert one[0]["iterations_total"] > 0
+        assert any(path.endswith("objective/focus_tasks") for path in one[1])
 
 
 class TestKernelCacheInfoOrdering:
