@@ -65,6 +65,16 @@ def _edge_is_isolated(
     return not bool(target[i0:i1, j0:j1].any())
 
 
+def clearance_keepout(target: np.ndarray, clear_px: int) -> np.ndarray:
+    """Pixels within ``clear_px`` of geometry (Chebyshev distance).
+
+    The dilation of ``target`` by a ``(2 * clear_px + 1)``-pixel square,
+    with nothing outside the image.
+    """
+    size = 2 * clear_px + 1
+    return ndimage.binary_dilation(target, structure=np.ones((size, size), dtype=bool))
+
+
 def insert_srafs(
     layout: Layout,
     grid: GridSpec,
@@ -89,9 +99,7 @@ def insert_srafs(
     target = rasterize_layout(layout, grid)
     srafs = np.zeros_like(target)
     clear_px = max(grid.nm_to_px(clearance_nm), 1)
-    keepout = ndimage.binary_dilation(
-        target, structure=np.ones((2 * clear_px + 1, 2 * clear_px + 1), dtype=bool)
-    )
+    keepout = clearance_keepout(target, clear_px)
     edges: List[Edge] = []
     for poly in layout.polygons:
         edges.extend(extract_edges(poly))

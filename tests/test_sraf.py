@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.config import GridSpec
+from scipy import ndimage
+
+from repro.config import GridSpec, LithoConfig
 from repro.geometry.layout import Layout
 from repro.geometry.raster import rasterize_layout
 from repro.geometry.rect import Rect
-from repro.mask.sraf import initial_mask_with_srafs, insert_srafs
+from repro.mask.sraf import clearance_keepout, initial_mask_with_srafs, insert_srafs
 from repro.workloads.generator import line_grating
+from repro.workloads.iccad2013 import BENCHMARK_NAMES, load_benchmark
 
 GRID = GridSpec(shape=(256, 256), pixel_nm=4.0)
 CLIP = Rect(0, 0, 1024, 1024)
@@ -80,3 +83,32 @@ class TestInitialMask:
     def test_float_binary_values(self):
         seed = initial_mask_with_srafs(iso_line_layout(), GRID)
         assert set(np.unique(seed)) <= {0.0, 1.0}
+
+
+def box_dilation(target, clear_px):
+    """The keep-out as ``insert_srafs`` first computed it: one 2-D dilation."""
+    size = 2 * clear_px + 1
+    return ndimage.binary_dilation(target, structure=np.ones((size, size), dtype=bool))
+
+
+class TestClearanceKeepout:
+    """The keep-out equals the full box dilation on every bundled clip."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_matches_box_dilation_at_reduced_scale(self, name):
+        grid = LithoConfig.reduced().grid
+        clear_px = max(grid.nm_to_px(35.0), 1)
+        target = rasterize_layout(load_benchmark(name), grid)
+        assert np.array_equal(clearance_keepout(target, clear_px), box_dilation(target, clear_px))
+
+    def test_reaches_the_border(self):
+        target = np.zeros((12, 12), dtype=bool)
+        target[0, 11] = target[6, 6] = True
+        assert np.array_equal(clearance_keepout(target, 2), box_dilation(target, 2))
+
+    @pytest.mark.slow
+    def test_matches_box_dilation_at_paper_scale(self):
+        grid = LithoConfig.paper().grid
+        clear_px = max(grid.nm_to_px(35.0), 1)
+        target = rasterize_layout(load_benchmark("B4"), grid)
+        assert np.array_equal(clearance_keepout(target, clear_px), box_dilation(target, clear_px))
