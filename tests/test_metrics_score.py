@@ -6,7 +6,26 @@ import pytest
 from repro.geometry.layout import Layout
 from repro.geometry.raster import rasterize_layout
 from repro.geometry.rect import Rect
+from repro.mask.sraf import initial_mask_with_srafs
+from repro.metrics.epe import measure_epe
+from repro.metrics.pvband import pv_band_area_for_mask
 from repro.metrics.score import ScoreBreakdown, contest_score
+from repro.metrics.shapes import count_shape_violations
+from repro.workloads.iccad2013 import BENCHMARK_NAMES, load_benchmark
+
+
+def per_kernel_breakdown(sim, mask, layout, runtime_s=0.0):
+    """The score with nominal printed through the per-kernel forward and
+    the corners imaged again for the PV band."""
+    binary = (np.asarray(mask, dtype=np.float64) > 0.5).astype(np.float64)
+    printed = sim.print_binary(binary)
+    target = rasterize_layout(layout, sim.grid)
+    return ScoreBreakdown(
+        runtime_s=runtime_s,
+        pv_band_nm2=pv_band_area_for_mask(sim, binary),
+        epe_violations=measure_epe(printed, layout, sim.grid).num_violations,
+        shape_violations=count_shape_violations(printed, target),
+    )
 
 
 class TestScoreBreakdown:
@@ -66,3 +85,18 @@ class TestContestScore:
         s = contest_score(sim, np.zeros(sim.grid.shape), layout)
         assert s.epe_violations > 0
         assert s.total >= 5000 * s.epe_violations
+
+
+class TestOneForwardScore:
+    """Every print of the score comes from one batched forward, and the
+    breakdown equals the per-kernel nominal print's on every clip."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_matches_per_kernel_breakdown(self, sim, name, rng):
+        layout = load_benchmark(name)
+        seed = initial_mask_with_srafs(layout, sim.grid)
+        noisy = np.clip(seed + 0.6 * rng.standard_normal(seed.shape), 0.0, 1.0)
+        for mask in (seed, noisy):
+            assert contest_score(sim, mask, layout, runtime_s=1.5) == per_kernel_breakdown(
+                sim, mask, layout, runtime_s=1.5
+            )
