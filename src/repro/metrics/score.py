@@ -19,8 +19,8 @@ from ..config import GridSpec
 from ..geometry.layout import Layout
 from ..geometry.raster import rasterize_layout
 from ..litho.simulator import LithographySimulator
+from ..process.pvband import pv_band_area
 from .epe import measure_epe
-from .pvband import pv_band_area_for_mask
 from .shapes import count_shape_violations
 
 
@@ -67,8 +67,9 @@ def contest_score(
 ) -> ScoreBreakdown:
     """Evaluate the full contest score of a mask for a layout.
 
-    The mask is binarized, printed at the nominal condition for EPE and
-    shape checks, and across all corners for the PV band.
+    The mask is binarized and printed at every process corner from one
+    batched forward: all prints give the PV band, and the nominal print
+    (the first corner) gives the EPE and shape checks.
 
     Args:
         sim: configured simulator.
@@ -82,12 +83,15 @@ def contest_score(
     """
     grid = grid or sim.grid
     binary = (np.asarray(mask, dtype=np.float64) > 0.5).astype(np.float64)
-    printed = sim.print_binary(binary)
+    with sim.obs.tracer.span("pv_band"):
+        prints = sim.print_all_corners(binary)
+        pv_band_nm2 = pv_band_area(prints, sim.grid.pixel_nm)
+    printed = prints[0]  # corners() lists nominal first
     target = rasterize_layout(layout, grid)
     epe_report = measure_epe(printed, layout, grid)
     return ScoreBreakdown(
         runtime_s=runtime_s,
-        pv_band_nm2=pv_band_area_for_mask(sim, binary),
+        pv_band_nm2=pv_band_nm2,
         epe_violations=epe_report.num_violations,
         shape_violations=count_shape_violations(printed, target),
     )
