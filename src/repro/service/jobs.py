@@ -208,7 +208,9 @@ class ServiceConfig:
             fingerprint.  A key that is not a :class:`FullChipConfig`
             field is refused, and so is one of
             :data:`PER_JOB_FIELDS`.
-        poll_s: event-feed and cancel-probe polling interval.
+        poll_s: longest wait between two looks of the event feed and
+            of :meth:`IltService.wait`; a job that settles wakes both at
+            once.
     """
 
     root: Union[str, Path] = "service-root"
@@ -354,6 +356,8 @@ class IltService:
         self._in_flight = self.metrics.gauge("http_requests_in_flight")
         self._in_flight_count = 0
         self._lock = threading.RLock()
+        # Notified when a job settles, so waiters and feeds wake at once.
+        self._settled = threading.Condition(self._lock)
         self._jobs: Dict[str, JobRecord] = {}
         self._threads: Dict[str, threading.Thread] = {}
         self._cancel_events: Dict[str, threading.Event] = {}
@@ -636,6 +640,7 @@ class IltService:
             job.error = error
             job.finished_ts = time.time()
             self.store.save(job)
+            self._settled.notify_all()
         if state == "DONE":
             self._done.inc()
         elif state == "FAILED":
@@ -684,11 +689,15 @@ class IltService:
     def wait(self, job_id: str, timeout_s: float = 60.0) -> JobRecord:
         """Block until the job settles (test/CLI convenience)."""
         deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            job = self.get(job_id)
-            if job.state in TERMINAL_JOB_STATES:
-                return job
-            time.sleep(self.config.poll_s)
+        with self._settled:
+            while True:
+                job = self.get(job_id)
+                if job.state in TERMINAL_JOB_STATES:
+                    return job
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._settled.wait(min(self.config.poll_s, remaining))
         raise ServiceError(
             f"job {job_id} still {self.get(job_id).state} "
             f"after {timeout_s:g}s"
@@ -765,7 +774,11 @@ class IltService:
             if deadline is not None and time.monotonic() > deadline:
                 yield {"kind": "timeout", "job": job_id}
                 return
-            time.sleep(self.config.poll_s)
+            # Wake when the job settles, else look again after poll_s for
+            # new events and status; never hold the lock across a yield.
+            with self._settled:
+                if self.get(job_id).state not in TERMINAL_JOB_STATES:
+                    self._settled.wait(self.config.poll_s)
 
     def _status_snapshot(self, run_dir: Path) -> Optional[Dict[str, object]]:
         path = run_dir / STATUS_FILENAME

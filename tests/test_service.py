@@ -456,6 +456,53 @@ class TestServiceEndToEnd:
             service.cancel("doesnotexist")
 
 
+class TestSettleWakesWaiters:
+    """A job that settles wakes ``wait`` and the event feed at once,
+    rather than after the rest of a ``poll_s`` sleep."""
+
+    @pytest.fixture
+    def held_job(self, tmp_path, monkeypatch):
+        from repro.fullchip import FullChipEngine
+
+        started, release = threading.Event(), threading.Event()
+
+        def solve(self, layout, **kwargs):
+            started.set()
+            release.wait(60)
+            raise RuntimeError("settled on request")
+
+        monkeypatch.setattr(FullChipEngine, "solve", solve)
+        service = IltService(tiny_service_config(tmp_path / "svc", poll_s=5.0))
+        try:
+            job = service.submit(dict(SERIAL_PAYLOAD))
+            assert started.wait(60)
+            released = []
+
+            def settle_later():
+                time.sleep(0.3)  # the waiter is asleep by now
+                released.append(time.monotonic())
+                release.set()
+
+            threading.Thread(target=settle_later, daemon=True).start()
+            yield service, job, released
+        finally:
+            release.set()
+            service.close()
+
+    def test_feed_yields_the_terminal_record_within_half_a_second(self, held_job):
+        service, job, released = held_job
+        records = list(service.events(job.id, timeout_s=60))
+        woke = time.monotonic()
+        assert records[-1]["kind"] == "job"
+        assert records[-1]["state"] == "FAILED"
+        assert woke - released[0] < 0.5
+
+    def test_wait_returns_within_half_a_second(self, held_job):
+        service, job, released = held_job
+        assert service.wait(job.id, timeout_s=60).state == "FAILED"
+        assert time.monotonic() - released[0] < 0.5
+
+
 class TestQueueCancel:
     def test_cancel_running_queue_job_leaves_no_live_leases(self, tmp_path):
         # Enough tiles x iterations that the run is mid-flight for
