@@ -89,12 +89,12 @@ class CompositeObjective(Objective):
         """
         tracer = ctx.sim.obs.tracer
         # (term, position, corner) of every imaging term's corners, by focus.
-        corner_counts: Dict[int, int] = {}
+        corner_values: Dict[int, List[float]] = {}
         pairs: Dict[float, List[Tuple[int, int, ProcessCorner]]] = {}
         for i, (_, objective) in enumerate(self.terms):
             if isinstance(objective, ImagingObjective):
                 corners = objective.required_corners(ctx)
-                corner_counts[i] = len(corners)
+                corner_values[i] = [0.0] * len(corners)
                 for j, corner in enumerate(corners):
                     pairs.setdefault(float(corner.defocus_nm), []).append((i, j, corner))
 
@@ -118,19 +118,19 @@ class CompositeObjective(Objective):
             with tracer.span("focus_tasks"):
                 plans = ctx.plan_foci(c for group in pairs.values() for _, _, c in group)
                 results = ctx.map_foci(plans, focus_task)
-        corner_values: Dict[Tuple[int, int], float] = {}
         for plan, (values, _) in zip(plans, results):
             for (i, j, _), value in zip(pairs[plan.focus], values):
-                corner_values[i, j] = value
+                corner_values[i][j] = value
 
         total = 0.0
         grad = np.zeros_like(ctx.mask) if gradient else None
         self.last_term_values = {}
         for i, (name, (weight, objective)) in enumerate(zip(self.term_names, self.terms)):
-            if i in corner_counts:
+            if i in corner_values:
+                # A plain loop: sum() compensates float sums on 3.12+.
                 value = 0.0
-                for j in range(corner_counts[i]):
-                    value += corner_values[i, j]
+                for corner_value in corner_values[i]:
+                    value += corner_value
             else:
                 with tracer.span(f"term:{name}"):
                     if gradient:

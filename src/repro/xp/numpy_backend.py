@@ -209,8 +209,9 @@ class NumpyBackend(ArrayBackend):
     def map_tasks(self, tasks: Sequence[Callable[[], T]], points: int) -> List[T]:
         """Each task once, on the transforms' threads; results in order.
 
-        One chunk of tasks per thread, up to one task each, when the
-        tasks hold :data:`SPLIT_MIN_POINTS` points together.
+        The tasks run as ``min(threads, len(tasks))`` contiguous chunks
+        when they hold :data:`SPLIT_MIN_POINTS` points together, else in
+        order on the calling thread.
         """
         results: List[Any] = [None] * len(tasks)
 

@@ -32,6 +32,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -520,6 +521,66 @@ class TestTransformThreads:
         seen = []
         ArrayBackend().map_chunks(lambda lo, hi: seen.append((lo, hi)), 10, 10**9)
         assert seen == [(0, 10)]
+
+    def test_map_tasks_gives_each_chunk_its_share(self):
+        # Two tasks at four threads: each runs under a scope of two, on
+        # its own thread; below the gate both run on the caller, in order.
+        backend = NumpyBackend("float64")
+        seen = []
+        lock = threading.Lock()
+
+        def task(i):
+            def run():
+                with lock:
+                    seen.append((i, backend.fft_threads, threading.get_ident()))
+                return i
+
+            return run
+
+        with fft_threads_scope(4):
+            assert backend.map_tasks([task(0), task(1)], SPLIT_MIN_POINTS) == [0, 1]
+        assert sorted(entry[:2] for entry in seen) == [(0, 2), (1, 2)]
+        assert len({entry[2] for entry in seen}) == 2
+        seen.clear()
+        with fft_threads_scope(4):
+            assert backend.map_tasks([task(0), task(1)], SPLIT_MIN_POINTS - 1) == [0, 1]
+        assert [entry[:2] for entry in seen] == [(0, 4), (1, 4)]
+        assert ArrayBackend().map_tasks([task(2), task(3)], 10**9) == [2, 3]
+
+    def test_nested_splits_finish_when_callers_share_the_pool(self):
+        # Three callers share one three-thread pool and each run two
+        # tasks that split again.  The pool threads all hold tasks whose
+        # nested pieces wait behind them, so a waiter must run an
+        # unstarted piece itself.
+        backend = NumpyBackend("float64")
+        backend._executor(3)
+        start = threading.Barrier(3)
+        done = []
+
+        def leaf(lo, hi):
+            time.sleep(0.01)
+
+        def task():
+            time.sleep(0.05)
+            backend.map_chunks(leaf, 4, SPLIT_MIN_POINTS)
+            return True
+
+        def caller():
+            start.wait()
+            with fft_threads_scope(4):
+                done.append(backend.map_tasks([task, task], SPLIT_MIN_POINTS))
+
+        threads = [threading.Thread(target=caller, daemon=True) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        stuck = any(thread.is_alive() for thread in threads)
+        if stuck:  # cancelled pieces unblock their waiters, so the run exits
+            backend._pool.shutdown(wait=False, cancel_futures=True)
+        assert not stuck
+        assert done == [[True, True]] * 3
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_float32_split_matches_one_thread(self, threads):
